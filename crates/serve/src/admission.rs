@@ -6,7 +6,7 @@
 //! vocabulary ([`Degradation`] with trip kind [`TripKind::Shed`]), one
 //! set of metrics (`serve.submitted`, `serve.shed`, `serve.queue_depth`).
 
-use clogic_obs::Obs;
+use clogic_obs::{Counter, Gauge, Obs};
 use folog::{Degradation, TripKind};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,13 +30,20 @@ pub enum AdmitError {
 /// [`close`](AdmissionQueue::close) is called, after which `pop` drains
 /// what remains and then returns `None`. Occupancy is mirrored into the
 /// `serve.queue_depth` gauge, accepted jobs bump `serve.submitted`, and
-/// refusals bump `serve.shed`.
+/// refusals bump `serve.shed`; the three handles are registered once, in
+/// [`new`](AdmissionQueue::new), so a push or pop never touches the
+/// metrics registry.
 pub struct AdmissionQueue<J> {
     queue: Mutex<VecDeque<J>>,
     available: Condvar,
     open: AtomicBool,
     depth: usize,
-    obs: Obs,
+    /// `serve.submitted` — jobs admitted.
+    submitted: Counter,
+    /// `serve.queue_depth` — jobs waiting right now.
+    waiting: Gauge,
+    /// `serve.shed` — jobs refused.
+    shed: Counter,
 }
 
 impl<J> AdmissionQueue<J> {
@@ -47,7 +54,9 @@ impl<J> AdmissionQueue<J> {
             available: Condvar::new(),
             open: AtomicBool::new(true),
             depth: depth.max(1),
-            obs,
+            submitted: obs.metrics.counter("serve.submitted"),
+            waiting: obs.metrics.gauge("serve.queue_depth"),
+            shed: obs.metrics.counter("serve.shed"),
         }
     }
 
@@ -60,7 +69,7 @@ impl<J> AdmissionQueue<J> {
     /// `serve.shed`. Public so fronts can shed for reasons of their own
     /// (shutdown drains) with the same vocabulary.
     pub fn shed(&self, occupancy: usize, detail: String) -> Degradation {
-        self.obs.metrics.counter("serve.shed").inc();
+        self.shed.inc();
         Degradation {
             trip: TripKind::Shed,
             strategy: "serve",
@@ -89,8 +98,8 @@ impl<J> AdmissionQueue<J> {
             )));
         }
         queue.push_back(job);
-        self.obs.metrics.counter("serve.submitted").inc();
-        self.obs.metrics.gauge("serve.queue_depth").inc();
+        self.submitted.inc();
+        self.waiting.inc();
         drop(queue);
         self.available.notify_one();
         Ok(())
@@ -102,7 +111,7 @@ impl<J> AdmissionQueue<J> {
         let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(job) = queue.pop_front() {
-                self.obs.metrics.gauge("serve.queue_depth").dec();
+                self.waiting.dec();
                 return Some(job);
             }
             if !self.is_open() {
@@ -124,7 +133,7 @@ impl<J> AdmissionQueue<J> {
             queue.drain(..).collect()
         };
         for _ in &drained {
-            self.obs.metrics.gauge("serve.queue_depth").dec();
+            self.waiting.dec();
         }
         self.available.notify_all();
         drained

@@ -41,7 +41,7 @@
 
 use crate::{LoadReport, ServeError};
 use clogic::{Answers, Session, SessionError, SessionOptions, SnapshotCell, Strategy};
-use clogic_obs::Obs;
+use clogic_obs::{Counter, Obs};
 use clogic_store::{RetryPolicy, RetryingStorage, Sleeper, Storage, StoreError};
 use folog::Budget;
 use std::collections::HashMap;
@@ -167,6 +167,11 @@ pub struct SessionManager {
     opts: ManagerOptions,
     /// Root observability handle; tenant handles are namespaced off it.
     obs: Obs,
+    /// `serve.snapshot.cache.hit` — queries answered from a snapshot's
+    /// answer cache.
+    cache_hit: Counter,
+    /// `serve.snapshot.cache.miss` — queries the snapshot evaluated.
+    cache_miss: Counter,
     state: Mutex<ManagerState>,
     /// Signalled whenever a Recovering slot resolves (either way).
     changed: Condvar,
@@ -179,6 +184,8 @@ impl SessionManager {
         SessionManager {
             factory,
             opts,
+            cache_hit: obs.metrics.counter("serve.snapshot.cache.hit"),
+            cache_miss: obs.metrics.counter("serve.snapshot.cache.miss"),
             obs,
             state: Mutex::new(ManagerState {
                 tenants: HashMap::new(),
@@ -403,12 +410,11 @@ impl SessionManager {
         let (answers, hit) = snap
             .query_cached(src, strategy, extra)
             .map_err(ServeError::Session)?;
-        let ctr = if hit {
-            "serve.snapshot.cache.hit"
+        if hit {
+            self.cache_hit.inc();
         } else {
-            "serve.snapshot.cache.miss"
-        };
-        self.obs.metrics.counter(ctr).inc();
+            self.cache_miss.inc();
+        }
         Ok(answers)
     }
 

@@ -1,17 +1,18 @@
 //! Length-prefixed JSONL-over-TCP front-end for a [`SessionManager`],
 //! hardened against hostile and merely unlucky peers.
 //!
-//! A [`TcpFront`] binds a listener and runs one **non-blocking accept
-//! loop** thread: it accepts connections, accumulates bytes per
-//! connection, splits complete frames (see [`protocol`] for the
-//! framing), and pushes each request into the same bounded
-//! [`AdmissionQueue`] the in-process server uses — so network traffic is
-//! subject to exactly the overload policy as local submissions: when the
-//! queue is full the request is shed *immediately* with a structured
-//! error response instead of buffering unboundedly. A worker pool drains
-//! the queue, dispatches to the manager, and writes each response back
-//! under a per-connection write lock (workers finish out of order;
-//! responses interleave but never tear).
+//! A [`TcpFront`] binds a listener and runs one **blocking accept
+//! thread** plus one **blocking reader thread per registered
+//! connection**. A reader sleeps in `read` until its peer's bytes arrive,
+//! splits complete frames (see [`protocol`] for the framing), and pushes
+//! each request into the same bounded [`AdmissionQueue`] the in-process
+//! server uses — so network traffic is subject to exactly the overload
+//! policy as local submissions: when the queue is full the request is
+//! shed *immediately* with a structured error response instead of
+//! buffering unboundedly. A worker pool drains the queue, dispatches to
+//! the manager, and writes each response back under a per-connection
+//! write lock (workers finish out of order; responses interleave but
+//! never tear).
 //!
 //! # Connection governance
 //!
@@ -24,7 +25,8 @@
 //!   [`max_connections`](TcpFrontOptions::max_connections) connections
 //!   are registered; a connect beyond the cap receives one best-effort
 //!   error frame and is dropped (`net.reaped.overflow`), so a
-//!   connection flood cannot grow the conn table or its buffers.
+//!   connection flood cannot grow the conn table, its buffers or its
+//!   reader threads.
 //! * **Slow-read (slowloris) reaping** — a peer that starts a frame
 //!   must finish it within
 //!   [`frame_timeout`](TcpFrontOptions::frame_timeout); trickling bytes
@@ -42,8 +44,8 @@
 //!   consumer; on exhaustion (`net.reaped.write_stall`) or any
 //!   mid-frame write failure the connection is marked **dead**: no
 //!   later response is ever written into the torn stream (which would
-//!   desynchronize framing for everything after it), and the accept
-//!   loop reaps the carcass.
+//!   desynchronize framing for everything after it), and its reader
+//!   reaps the carcass.
 //!
 //! Deadlines propagate end to end: a request's `deadline_ms` covers
 //! **queue wait plus evaluation**, exactly as
@@ -58,23 +60,51 @@
 //! the remainder with structured errors. A `health` wire op reports the
 //! front's vitals without touching any session lock.
 //!
-//! The accept loop uses readiness-free polling (non-blocking reads plus
-//! a 1 ms idle sleep) rather than an OS selector: the dependency-free
-//! choice, costing at most one wake-up per millisecond when idle — fine
-//! for the test/bench scale this repo targets and trivially replaceable
-//! behind the same structure.
+//! Both halves of every socket block, and nothing polls. A reader's read
+//! timeout is its connection's next governance deadline, so the clocks
+//! above fire without a timer thread; a writer's write timeout is what
+//! remains of its budget. Anything that must interrupt a reader early —
+//! drain, stop, or a worker marking the connection dead — shuts down the
+//! socket's read side, which returns the blocked `read` at once without
+//! touching the write side or the peer. The accept thread is woken for
+//! shutdown by one loopback connect to its own listener. A request is
+//! thus admitted as soon as its last byte arrives, at the cost of one
+//! small-stack thread per open connection (bounded by the cap).
 
 use crate::admission::{AdmissionQueue, AdmitError};
 use crate::manager::SessionManager;
 use crate::protocol::{self, Request, RequestOp, Response};
-use clogic_obs::{Counter, Gauge, Json, Obs};
+use clogic_obs::{Counter, Gauge, Histogram, Json, Obs};
 use folog::Budget;
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Stack size of a connection's reader thread. A reader only reads,
+/// splits frames and writes the odd shed or frame-error response, so a
+/// small stack keeps a full connection table cheap.
+const READER_STACK: usize = 128 * 1024;
+
+/// Added to every governance read timeout, so that a clock has strictly
+/// run out when its reader wakes (the clocks reap on `>`), and so that a
+/// timeout is never zero.
+const CLOCK_SLACK: Duration = Duration::from_millis(1);
+
+/// How often a reader rechecks an idle clock that ran out while a
+/// response was still in flight: the clock resumes once the response is
+/// written, which the reader is not told about.
+const HELD_IDLE_RECHECK: Duration = Duration::from_millis(10);
+
+/// Bound on the loopback connect that wakes the accept thread.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Pause after a failed `accept` (say, out of descriptors), so a
+/// persistent error does not spin the accept thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Tuning for a [`TcpFront`]: pool sizing plus the connection-governance
 /// policy (see the [module docs](self) for what each bound defends
@@ -124,7 +154,8 @@ impl Default for TcpFrontOptions {
 }
 
 /// The `net.*` instrument handles, registered once at start-up so every
-/// counter is visible (at zero) in the very first metrics snapshot.
+/// counter is visible (at zero) in the very first metrics snapshot and no
+/// request takes the registry lock.
 struct NetMetrics {
     /// `net.connections.open` — registered connections right now.
     conns_open: Gauge,
@@ -150,6 +181,9 @@ struct NetMetrics {
     reaped_write_stall: Counter,
     /// `net.write_errors` — mid-frame write failures marking conns dead.
     write_errors: Counter,
+    /// `net.queue_wait_us` — how long each admitted frame waited for a
+    /// worker.
+    queue_wait_us: Histogram,
 }
 
 impl NetMetrics {
@@ -168,19 +202,26 @@ impl NetMetrics {
             reaped_frame_error: m.counter("net.reaped.frame_error"),
             reaped_write_stall: m.counter("net.reaped.write_stall"),
             write_errors: m.counter("net.write_errors"),
+            queue_wait_us: m.histogram("net.queue_wait_us"),
         }
     }
 }
 
-/// The write half of a connection, shared by the workers answering its
-/// requests.
+/// One registered connection, shared by its reader thread and the
+/// workers answering its requests.
 struct Conn {
-    writer: Mutex<TcpStream>,
+    /// The socket, blocking in both directions. The reader reads through
+    /// `&TcpStream`; responses are written under `write_lock`. Read and
+    /// write timeouts are separate socket options, so the reader's clocks
+    /// and a writer's budget never disturb each other.
+    stream: TcpStream,
+    /// Serializes whole response frames.
+    write_lock: Mutex<()>,
     /// Set on any mid-frame write failure or write-budget exhaustion:
     /// the stream may hold a torn partial frame, so nothing must ever
     /// be written to it again (a later response would be parsed against
-    /// the torn frame's leftover length prefix). The accept loop reaps
-    /// dead connections.
+    /// the torn frame's leftover length prefix). Setting it wakes the
+    /// reader, which reaps the connection.
     dead: AtomicBool,
     /// Requests admitted but not yet answered — an idle-looking socket
     /// waiting on a slow query is *not* idle.
@@ -194,23 +235,35 @@ struct Conn {
 }
 
 impl Conn {
+    fn new(stream: TcpStream, write_budget: Duration, stats: &NetMetrics) -> Conn {
+        Conn {
+            stream,
+            write_lock: Mutex::new(()),
+            dead: AtomicBool::new(false),
+            in_flight: AtomicU64::new(0),
+            write_budget,
+            stall_kills: stats.reaped_write_stall.clone(),
+            write_errors: stats.write_errors.clone(),
+        }
+    }
+
     /// Frames and writes one response; returns `false` when the
-    /// connection is (or just became) dead. The socket is non-blocking
-    /// (the write half shares the read half's file description, so it
-    /// cannot be anything else — see [`register`]), so a full send
-    /// buffer surfaces as `WouldBlock`; the budgeted retry loop naps
-    /// briefly between attempts and **kills the connection** when the
-    /// budget runs out — a worker is never parked indefinitely behind a
-    /// consumer that stopped reading. Any failure mid-frame (including
-    /// `Ok(0)` and hard errors) also marks the connection dead instead
-    /// of silently leaving a torn frame on the stream.
+    /// connection is (or just became) dead. Each blocking write is
+    /// bounded by a write timeout of whatever remains of the budget, so
+    /// a writer is never parked indefinitely behind a consumer that
+    /// stopped reading: when the budget runs out the connection is
+    /// **killed**. Any failure mid-frame (including `Ok(0)` and hard
+    /// errors) also marks the connection dead instead of silently
+    /// leaving a torn frame on the stream. A response too big to frame
+    /// goes out as a structured error instead (see
+    /// [`Response::to_frame`]).
     fn send(&self, resp: &Response) -> bool {
         if self.dead.load(Ordering::Acquire) {
             return false;
         }
-        let frame = protocol::encode_frame(&resp.render_json());
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        // Re-check under the lock: another worker may have torn the
+        let frame = resp.to_frame();
+        let _writing = self.write_lock.lock().unwrap_or_else(|e| e.into_inner());
+        // Re-check under the lock: another writer may have torn the
         // stream while we waited for it.
         if self.dead.load(Ordering::Acquire) {
             return false;
@@ -218,30 +271,43 @@ impl Conn {
         let start = Instant::now();
         let mut sent = 0;
         while sent < frame.len() {
-            match writer.write(&frame[sent..]) {
-                Ok(0) => {
-                    self.write_errors.inc();
-                    self.dead.store(true, Ordering::Release);
-                    return false;
-                }
+            let left = self.write_budget.saturating_sub(start.elapsed());
+            if left.is_zero() {
+                return self.kill(&self.stall_kills);
+            }
+            if self.stream.set_write_timeout(Some(left)).is_err() {
+                return self.kill(&self.write_errors);
+            }
+            match (&self.stream).write(&frame[sent..]) {
+                Ok(0) => return self.kill(&self.write_errors),
                 Ok(n) => sent += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    if start.elapsed() >= self.write_budget {
-                        self.stall_kills.inc();
-                        self.dead.store(true, Ordering::Release);
-                        return false;
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.write_errors.inc();
-                    self.dead.store(true, Ordering::Release);
-                    return false;
-                }
+                // The timeout fired: the budget check above decides
+                // (a timeout that fired early retries with what is left).
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => return self.kill(&self.write_errors),
             }
         }
         true
+    }
+
+    /// Marks the connection dead, books why on `counter`, and wakes the
+    /// reader to reap it. Returns `false`, `send`'s verdict.
+    fn kill(&self, counter: &Counter) -> bool {
+        counter.inc();
+        self.dead.store(true, Ordering::Release);
+        self.wake();
+        false
+    }
+
+    /// Returns the reader's blocked `read` at once (with end-of-stream)
+    /// by shutting down the socket's read side; responses can still be
+    /// written.
+    fn wake(&self) {
+        let _ = self.stream.shutdown(Shutdown::Read);
     }
 }
 
@@ -253,17 +319,33 @@ struct NetJob {
     enqueued: Instant,
 }
 
-/// Everything the accept loop, the workers and the front handle share.
+/// A registered connection as the front tracks it: the handle to wake
+/// it with and its reader thread to join.
+struct Registered {
+    conn: Arc<Conn>,
+    reader: JoinHandle<()>,
+}
+
+/// Everything the accept thread, the readers, the workers and the front
+/// handle share.
 struct FrontShared {
     manager: Arc<SessionManager>,
     admission: AdmissionQueue<NetJob>,
     stats: NetMetrics,
-    /// Hard stop: accept loop exits, queue closes.
-    stop: AtomicBool,
+    opts: TcpFrontOptions,
+    /// Registered connections by id. `net.connections.open` mirrors its
+    /// size: both change only under its lock.
+    conns: Mutex<HashMap<u64, Registered>>,
     /// Graceful phase: stop accepting and reading, keep answering.
     draining: AtomicBool,
     /// Jobs a worker has popped but not yet answered (drain barrier).
     in_flight: AtomicU64,
+}
+
+impl FrontShared {
+    fn conns(&self) -> MutexGuard<'_, HashMap<u64, Registered>> {
+        self.conns.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// A running TCP front-end over a [`SessionManager`]. Shuts down on
@@ -272,7 +354,6 @@ struct FrontShared {
 pub struct TcpFront {
     addr: SocketAddr,
     shared: Arc<FrontShared>,
-    drain_deadline: Duration,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -286,17 +367,17 @@ impl TcpFront {
         opts: TcpFrontOptions,
     ) -> std::io::Result<TcpFront> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(FrontShared {
             admission: AdmissionQueue::new(opts.queue_depth, manager.obs().clone()),
             stats: NetMetrics::new(manager.obs()),
             manager,
-            stop: AtomicBool::new(false),
+            conns: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
             in_flight: AtomicU64::new(0),
+            opts,
         });
-        let workers = (0..opts.workers.max(1))
+        let workers = (0..shared.opts.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -307,16 +388,14 @@ impl TcpFront {
             .collect();
         let accept = {
             let shared = Arc::clone(&shared);
-            let opts = opts.clone();
             std::thread::Builder::new()
                 .name("clogic-net-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, &opts))
-                .expect("spawn accept loop")
+                .spawn(move || accept_loop(&listener, &shared))
+                .expect("spawn accept thread")
         };
         Ok(TcpFront {
             addr,
             shared,
-            drain_deadline: opts.drain_deadline,
             accept: Some(accept),
             workers,
         })
@@ -338,7 +417,21 @@ impl TcpFront {
         // Phase 1 — drain: no new connections or frames, but workers
         // keep answering what was already admitted, up to the deadline.
         shared.draining.store(true, Ordering::Release);
-        let deadline = Instant::now() + self.drain_deadline;
+        if let Some(handle) = self.accept.take() {
+            // The accept thread blocks in `accept`; a connect of our own
+            // wakes it to see the drain flag. Should even that connect
+            // fail (say, descriptors exhausted), the thread is left to
+            // exit on its next accept rather than wedging shutdown.
+            if TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_CONNECT_TIMEOUT).is_ok() {
+                let _ = handle.join();
+            }
+        }
+        // Registration checks the drain flag under the table lock, so
+        // every connection is either woken here or never registered.
+        for registered in shared.conns().values() {
+            registered.conn.wake();
+        }
+        let deadline = Instant::now() + shared.opts.drain_deadline;
         let mut settled = 0u32;
         while Instant::now() < deadline {
             if shared.admission.is_empty() && shared.in_flight.load(Ordering::Acquire) == 0 {
@@ -356,14 +449,21 @@ impl TcpFront {
         }
         // Phase 2 — stop: close the queue, shed the remainder with
         // structured errors, join every thread.
-        shared.stop.store(true, Ordering::Release);
         for job in shared.admission.close() {
             job.conn.send(&Response::Error {
                 message: "server shutting down".to_string(),
             });
         }
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+        let remaining: Vec<Registered> = {
+            let mut conns = shared.conns();
+            for _ in 0..conns.len() {
+                shared.stats.conns_open.dec();
+            }
+            conns.drain().map(|(_, registered)| registered).collect()
+        };
+        for registered in remaining {
+            registered.conn.wake();
+            let _ = registered.reader.join();
         }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -377,9 +477,85 @@ impl Drop for TcpFront {
     }
 }
 
-/// One open connection in the accept loop, with its governance clocks.
+/// Where to connect to reach a listener bound to `addr`: the address
+/// itself, or loopback when it is bound to every interface.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+fn accept_loop(listener: &TcpListener, shared: &Arc<FrontShared>) {
+    let mut next_id = 0u64;
+    loop {
+        let accepted = listener.accept();
+        // Draining: stop accepting. This is also how shutdown's wake-up
+        // connect ends the loop.
+        if shared.draining.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _peer)) => {
+                next_id += 1;
+                register(stream, next_id, shared);
+            }
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
+    }
+}
+
+/// Registers a fresh connection and starts its reader thread, or sheds
+/// it at the cap. The socket stays blocking — the reader blocks in
+/// `read` under its governance timeout and writers bound each write with
+/// a write timeout — so one descriptor serves both halves.
+fn register(stream: TcpStream, id: u64, shared: &Arc<FrontShared>) {
+    let mut conns = shared.conns();
+    if shared.draining.load(Ordering::Acquire) {
+        return;
+    }
+    let cap = shared.opts.max_connections.max(1);
+    if conns.len() >= cap {
+        shared.stats.reaped_overflow.inc();
+        let open = conns.len();
+        drop(conns);
+        refuse(stream, open, cap);
+        return;
+    }
+    let conn = Arc::new(Conn::new(stream, shared.opts.write_budget, &shared.stats));
+    let reader = {
+        let conn = Arc::clone(&conn);
+        let shared = Arc::clone(shared);
+        std::thread::Builder::new()
+            .name(format!("clogic-net-conn-{id}"))
+            .stack_size(READER_STACK)
+            .spawn(move || read_loop(id, conn, &shared))
+    };
+    // A reader that cannot be started leaves the connection unregistered;
+    // dropping it closes the socket.
+    if let Ok(reader) = reader {
+        conns.insert(id, Registered { conn, reader });
+        shared.stats.accepted.inc();
+        shared.stats.conns_open.inc();
+    }
+}
+
+/// Best-effort structured refusal of a connect beyond the cap: one
+/// non-blocking write into the empty socket buffer, then drop.
+fn refuse(stream: TcpStream, open: usize, cap: usize) {
+    let _ = stream.set_nonblocking(true);
+    let frame = Response::Error {
+        message: format!("connection shed: {open} open, capacity {cap}"),
+    }
+    .to_frame();
+    let _ = (&stream).write(&frame);
+}
+
+/// One connection's read side, owned by its reader thread, with its
+/// governance clocks.
 struct Reading {
-    stream: TcpStream,
     conn: Arc<Conn>,
     buf: Vec<u8>,
     /// Last instant any byte arrived (or the accept instant).
@@ -389,121 +565,114 @@ struct Reading {
     frame_start: Option<Instant>,
 }
 
-/// What `pump` concluded about a connection this tick.
-enum Pump {
-    Keep,
+/// Why a reader stopped.
+enum Exit {
     /// Peer closed (or the read errored) — its right; not a reap.
     Closed,
-    /// The stream is unframeable; drop it.
+    /// The stream is unframeable.
     FrameError,
+    /// Already accounted for: reaped by [`govern`], killed by a writer,
+    /// or the front is draining.
+    Quiet,
 }
 
-fn accept_loop(listener: &TcpListener, shared: &FrontShared, opts: &TcpFrontOptions) {
-    let max_conns = opts.max_connections.max(1);
-    let mut conns: Vec<Reading> = Vec::new();
-    while !shared.stop.load(Ordering::Acquire) {
-        if shared.draining.load(Ordering::Acquire) {
-            // Drain phase: responses still flow (workers write directly
-            // to the sockets), but nothing new is accepted or read.
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        let mut active = false;
-        // Accept everything pending this tick (bounded per tick so a
-        // connect storm cannot starve the pumps below).
-        for _ in 0..64 {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    active = true;
-                    if conns.len() >= max_conns {
-                        shared.stats.reaped_overflow.inc();
-                        refuse(stream, conns.len(), max_conns);
-                        continue;
-                    }
-                    if let Ok(conn) = register(&stream, shared, opts) {
-                        shared.stats.accepted.inc();
-                        shared.stats.conns_open.inc();
-                        conns.push(Reading {
-                            stream,
-                            conn,
-                            buf: Vec::new(),
-                            last_byte: Instant::now(),
-                            frame_start: None,
-                        });
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        let now = Instant::now();
-        conns.retain_mut(|c| {
-            let keep = match pump(c, shared, &mut active) {
-                Pump::Keep => govern(c, now, shared, opts),
-                Pump::Closed => {
-                    shared.stats.closed.inc();
-                    false
-                }
-                Pump::FrameError => {
-                    shared.stats.reaped_frame_error.inc();
-                    false
-                }
-            };
-            if !keep {
-                shared.stats.conns_open.dec();
-            }
-            keep
-        });
-        if !active {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+/// A connection's reader thread: serves the connection until it ends,
+/// books why, and deregisters it (unless shutdown already did).
+fn read_loop(id: u64, conn: Arc<Conn>, shared: &FrontShared) {
+    let mut c = Reading {
+        conn,
+        buf: Vec::new(),
+        last_byte: Instant::now(),
+        frame_start: None,
+    };
+    match serve_reads(&mut c, shared) {
+        Exit::Closed => shared.stats.closed.inc(),
+        Exit::FrameError => shared.stats.reaped_frame_error.inc(),
+        Exit::Quiet => {}
     }
-    for _ in &conns {
+    // The gauge changes under the table lock, so it never counts a
+    // connection the table does not hold. The entry carries this
+    // thread's own handle; dropping it detaches a thread that is about
+    // to return.
+    let mut conns = shared.conns();
+    if conns.remove(&id).is_some() {
         shared.stats.conns_open.dec();
     }
 }
 
-/// Best-effort structured refusal of a connect beyond the cap: one
-/// non-blocking write into the empty socket buffer, then drop.
-fn refuse(stream: TcpStream, open: usize, cap: usize) {
-    let _ = stream.set_nonblocking(true);
-    let frame = protocol::encode_frame(
-        &Response::Error {
-            message: format!("connection shed: {open} open, capacity {cap}"),
+/// Blocks until bytes arrive or a governance clock comes due, admits
+/// every complete frame, and repeats until the connection ends.
+fn serve_reads(c: &mut Reading, shared: &FrontShared) -> Exit {
+    let mut chunk = [0u8; 4096];
+    loop {
+        if shared.draining.load(Ordering::Acquire) {
+            return Exit::Quiet;
         }
-        .render_json(),
-    );
-    let mut stream = stream;
-    let _ = stream.write(&frame);
+        let now = Instant::now();
+        if !govern(c, now, shared) {
+            return Exit::Quiet;
+        }
+        if c.conn
+            .stream
+            .set_read_timeout(read_timeout(c, now, &shared.opts))
+            .is_err()
+        {
+            return hung_up(c, shared);
+        }
+        match (&c.conn.stream).read(&mut chunk) {
+            Ok(0) => return hung_up(c, shared),
+            Ok(n) => {
+                c.buf.extend_from_slice(&chunk[..n]);
+                c.last_byte = Instant::now();
+                if c.frame_start.is_none() {
+                    c.frame_start = Some(c.last_byte);
+                }
+                if let Some(exit) = admit(c, shared) {
+                    return exit;
+                }
+            }
+            // A clock came due (`govern` decides) or a signal landed.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(_) => return hung_up(c, shared),
+        }
+    }
 }
 
-/// Puts the connection in non-blocking mode and clones a write half for
-/// the workers. The clone duplicates the fd onto the *same* open file
-/// description, so `O_NONBLOCK` is shared: the write half is necessarily
-/// non-blocking too, which [`Conn::send`] handles with a budgeted retry
-/// loop. (Setting the clone back to blocking would silently make the
-/// read half blocking as well and wedge the accept loop on the first
-/// idle connection.)
-fn register(
-    stream: &TcpStream,
-    shared: &FrontShared,
-    opts: &TcpFrontOptions,
-) -> std::io::Result<Arc<Conn>> {
-    stream.set_nonblocking(true)?;
-    let writer = stream.try_clone()?;
-    Ok(Arc::new(Conn {
-        writer: Mutex::new(writer),
-        dead: AtomicBool::new(false),
-        in_flight: AtomicU64::new(0),
-        write_budget: opts.write_budget,
-        stall_kills: shared.stats.reaped_write_stall.clone(),
-        write_errors: shared.stats.write_errors.clone(),
-    }))
+/// The read side ended: the peer's doing, unless the front shut it down
+/// to wake this reader.
+fn hung_up(c: &Reading, shared: &FrontShared) -> Exit {
+    if shared.draining.load(Ordering::Acquire) || c.conn.dead.load(Ordering::Acquire) {
+        Exit::Quiet
+    } else {
+        Exit::Closed
+    }
+}
+
+/// How long the reader may block before a governance clock comes due:
+/// the frame clock while a frame is partial, else the idle clock. Work
+/// in flight holds the idle clock, so one that has run out is rechecked
+/// every [`HELD_IDLE_RECHECK`] until the work is answered. `None` (block
+/// without limit) only for a clock too long to add to.
+fn read_timeout(c: &Reading, now: Instant, opts: &TcpFrontOptions) -> Option<Duration> {
+    let (since, limit) = match c.frame_start {
+        Some(started) => (started, opts.frame_timeout),
+        None => (c.last_byte, opts.idle_timeout),
+    };
+    let left = limit.saturating_sub(now.duration_since(since));
+    if left.is_zero() && c.frame_start.is_none() {
+        return Some(HELD_IDLE_RECHECK);
+    }
+    left.checked_add(CLOCK_SLACK)
 }
 
 /// Applies the governance policy to one connection; `false` reaps it.
-fn govern(c: &mut Reading, now: Instant, shared: &FrontShared, opts: &TcpFrontOptions) -> bool {
-    // A worker already declared the stream torn; the write path counted
+fn govern(c: &Reading, now: Instant, shared: &FrontShared) -> bool {
+    let opts = &shared.opts;
+    // A writer already declared the stream torn; the write path counted
     // the kill (`net.reaped.write_stall` / `net.write_errors`).
     if c.conn.dead.load(Ordering::Acquire) {
         return false;
@@ -526,29 +695,14 @@ fn govern(c: &mut Reading, now: Instant, shared: &FrontShared, opts: &TcpFrontOp
     true
 }
 
-/// Reads whatever is available and admits every complete frame.
-fn pump(c: &mut Reading, shared: &FrontShared, active: &mut bool) -> Pump {
-    let mut chunk = [0u8; 4096];
-    loop {
-        match c.stream.read(&mut chunk) {
-            Ok(0) => return Pump::Closed,
-            Ok(n) => {
-                c.buf.extend_from_slice(&chunk[..n]);
-                c.last_byte = Instant::now();
-                if c.frame_start.is_none() {
-                    c.frame_start = Some(c.last_byte);
-                }
-                *active = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Pump::Closed,
-        }
-    }
+/// Admits every complete frame in the buffer; `Some` ends the
+/// connection. Shed and frame-error responses are written right here, on
+/// this connection's own reader, so a peer that does not read stalls
+/// nobody else.
+fn admit(c: &mut Reading, shared: &FrontShared) -> Option<Exit> {
     loop {
         match protocol::decode_frame(&mut c.buf) {
             Ok(Some(payload)) => {
-                *active = true;
                 shared.stats.frames_in.inc();
                 // Whatever bytes remain start the *next* frame: restart
                 // its completion clock at the decode instant.
@@ -568,14 +722,14 @@ fn pump(c: &mut Reading, shared: &FrontShared, active: &mut bool) -> Pump {
                     }
                     Err(AdmitError::Closed) => {
                         c.conn.in_flight.fetch_sub(1, Ordering::AcqRel);
-                        return Pump::Closed;
+                        return Some(Exit::Quiet);
                     }
                 }
             }
-            Ok(None) => return Pump::Keep,
+            Ok(None) => return None,
             Err(message) => {
                 c.conn.send(&Response::Error { message });
-                return Pump::FrameError;
+                return Some(Exit::FrameError);
             }
         }
     }
@@ -586,10 +740,8 @@ fn worker_loop(shared: &FrontShared) {
         shared.in_flight.fetch_add(1, Ordering::AcqRel);
         let waited = job.enqueued.elapsed();
         shared
-            .manager
-            .obs()
-            .metrics
-            .histogram("net.queue_wait_us")
+            .stats
+            .queue_wait_us
             .observe(waited.as_micros() as u64);
         let resp = handle(shared, &job.payload, waited);
         if job.conn.send(&resp) {
@@ -732,30 +884,23 @@ impl Client {
 mod tests {
     use super::*;
 
-    /// A socketpair over loopback: (governed write half, peer).
+    /// A socketpair over loopback: (governed connection, peer). The
+    /// server side stays blocking, as a registered connection does.
     fn pair(budget: Duration) -> (Arc<Conn>, TcpStream, Obs) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_side, _) = listener.accept().unwrap();
-        server_side.set_nonblocking(true).unwrap();
         let obs = Obs::new();
-        let conn = Arc::new(Conn {
-            writer: Mutex::new(server_side),
-            dead: AtomicBool::new(false),
-            in_flight: AtomicU64::new(0),
-            write_budget: budget,
-            stall_kills: obs.metrics.counter("net.reaped.write_stall"),
-            write_errors: obs.metrics.counter("net.write_errors"),
-        });
+        let conn = Arc::new(Conn::new(server_side, budget, &NetMetrics::new(&obs)));
         (conn, peer, obs)
     }
 
     #[test]
     fn send_kills_the_connection_when_the_write_budget_runs_out() {
         // The peer never reads, so loopback buffers eventually fill and
-        // the non-blocking writes report WouldBlock until the budget is
-        // spent. A response big enough to overwhelm any default socket
-        // buffer pair forces that within one send.
+        // the blocking write times out once the budget is spent. A
+        // response big enough to overwhelm any default socket buffer
+        // pair forces that within one send.
         let (conn, peer, obs) = pair(Duration::from_millis(50));
         let huge = Response::Error {
             message: "x".repeat(8 * 1024 * 1024),
@@ -799,5 +944,57 @@ mod tests {
                 >= 1
         );
         assert!(!conn.send(&Response::Error { message: "z".into() }));
+    }
+
+    #[test]
+    fn send_replaces_an_oversize_response_with_one_error_frame() {
+        let (conn, mut peer, obs) = pair(Duration::from_secs(10));
+        let oversize = Response::Error {
+            message: "x".repeat(protocol::MAX_FRAME as usize),
+        };
+        let size = oversize.render_json().to_string().len();
+        assert!(conn.send(&oversize), "the refusal goes out");
+        assert!(
+            conn.send(&Response::Error {
+                message: "next".into()
+            }),
+            "the connection stays usable"
+        );
+        assert!(!conn.dead.load(Ordering::Acquire));
+
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut buf = Vec::new();
+        let mut frames = Vec::new();
+        while frames.len() < 2 {
+            if let Some(payload) = protocol::decode_frame(&mut buf).expect("frames decode") {
+                let text = std::str::from_utf8(&payload).expect("UTF-8 frame");
+                frames.push(protocol::parse_json(text).expect("JSON frame"));
+                continue;
+            }
+            let mut chunk = [0u8; 4096];
+            let n = peer.read(&mut chunk).expect("frames arrive");
+            assert!(n > 0, "connection closed");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+        assert!(buf.is_empty(), "nothing follows the two frames");
+        // Exactly one frame stands for the oversize response: a
+        // structured error naming its size and the limit.
+        assert_eq!(protocol::get(&frames[0], "ok"), Some(&Json::Bool(false)));
+        let Some(Json::Str(message)) = protocol::get(&frames[0], "error") else {
+            panic!("no error message: {}", frames[0]);
+        };
+        assert!(
+            message.contains(&size.to_string())
+                && message.contains(&protocol::MAX_FRAME.to_string()),
+            "{message}"
+        );
+        assert_eq!(
+            protocol::get(&frames[1], "error"),
+            Some(&Json::Str("next".into()))
+        );
+        let snap = obs.metrics.snapshot();
+        assert_eq!(snap.counter("net.write_errors"), Some(0));
+        assert_eq!(snap.counter("net.reaped.write_stall"), Some(0));
     }
 }

@@ -40,11 +40,16 @@ use clogic_obs::Json;
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 /// Prepends the 4-byte big-endian length prefix to `payload`'s bytes.
+/// The length is not checked: a payload over [`MAX_FRAME`] makes a frame
+/// every peer refuses.
 pub fn encode_frame(payload: &Json) -> Vec<u8> {
-    let body = payload.to_string().into_bytes();
+    frame(payload.to_string().as_bytes())
+}
+
+fn frame(body: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(4 + body.len());
     frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&body);
+    frame.extend_from_slice(body);
     frame
 }
 
@@ -220,7 +225,7 @@ pub enum Response {
     },
     /// The serving process's own vitals (the `health` op).
     Health {
-        /// Connections currently registered with the accept loop.
+        /// Connections currently registered with the front.
         open_connections: u64,
         /// Requests waiting in the admission queue.
         queued: u64,
@@ -253,6 +258,27 @@ impl Response {
             complete: a.complete,
             degradation: a.degradation.as_ref().map(|d| d.to_string()),
         }
+    }
+
+    /// The response as one wire frame. A rendering over [`MAX_FRAME`]
+    /// (an answer set too big for any peer to accept — past 4 GiB its
+    /// length prefix would even wrap) is replaced by a structured
+    /// [`Response::Error`] naming its size and the limit, so the peer
+    /// gets an answer it can decode and the connection stays usable.
+    pub(crate) fn to_frame(&self) -> Vec<u8> {
+        let body = self.render_json().to_string();
+        if body.len() > MAX_FRAME as usize {
+            return encode_frame(
+                &Response::Error {
+                    message: format!(
+                        "response of {} bytes exceeds the {MAX_FRAME}-byte frame limit",
+                        body.len()
+                    ),
+                }
+                .render_json(),
+            );
+        }
+        frame(body.as_bytes())
     }
 
     /// Renders the response for framing.

@@ -833,6 +833,50 @@ fn health_answers_and_shutdown_drains_admitted_work() {
     }
 }
 
+// ---------- request latency ----------
+
+/// A closed-loop client is served as soon as its bytes arrive: 200
+/// sequential `health` round trips on one connection take a few
+/// milliseconds, where a front that polls its sockets on a 1 ms nap
+/// makes each one wait out the nap (over 200 ms in all). The best of
+/// three attempts counts, so a descheduled thread on a loaded box does
+/// not fail the test; a polling front fails every attempt.
+#[test]
+fn sequential_round_trips_are_not_paced_by_a_poll() {
+    let obs = Obs::new();
+    let (_mgr, front) = start_front(
+        &obs,
+        TcpFrontOptions {
+            workers: 1,
+            ..TcpFrontOptions::default()
+        },
+    );
+    let mut c = Client::connect_timeout(front.addr(), Duration::from_secs(30)).expect("connect");
+    let health = Request {
+        tenant: String::new(),
+        op: RequestOp::Health,
+    };
+    c.request(&health).expect("warm-up");
+    let best = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            for i in 0..200 {
+                let resp = c
+                    .request(&health)
+                    .unwrap_or_else(|e| panic!("round trip {i}: {e}"));
+                assert_eq!(get(&resp, "ok"), Some(&Json::Bool(true)), "{resp}");
+            }
+            start.elapsed()
+        })
+        .min()
+        .expect("three attempts");
+    assert!(
+        best < Duration::from_millis(100),
+        "200 sequential round trips took {best:?} at best"
+    );
+    shutdown_within(front, Duration::from_secs(30));
+}
+
 // ---------- focused governance clocks ----------
 
 /// Idle, slow-read, and buffer-cap reaping, each on its own connection
