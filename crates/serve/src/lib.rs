@@ -2,8 +2,8 @@
 //!
 //! A [`Server`] owns one [`Session`] behind a **lock-free snapshot
 //! discipline**: loads (and artifact preparation) serialize behind a
-//! mutex, and every successful [`Session::prepare`] publishes an
-//! immutable, epoch-stamped [`SessionSnapshot`] into a shared
+//! mutex, and every [`Session::prepare`] publishes an epoch-stamped
+//! [`SessionSnapshot`] into a shared
 //! [`SnapshotCell`] with a single pointer swap. Queries fan out across
 //! a thread pool and answer **entirely from the snapshot they pinned**
 //! ([`SessionSnapshot::query_cached`]) — the read path takes no session
@@ -287,10 +287,12 @@ impl Server {
     }
 
     /// Loads program text into the session and re-prepares the artifacts
-    /// for the new epoch, publishing a fresh [`SessionSnapshot`] when
-    /// the prepare succeeds. Loads serialize with each other on the
-    /// session mutex, but **queries never wait**: workers keep answering
-    /// from the previously published snapshot until the swap.
+    /// for the new epoch, publishing a fresh [`SessionSnapshot`] — even
+    /// for a program bottom-up evaluation rejects, whose snapshot
+    /// returns that error to bottom-up queries. Loads serialize with
+    /// each other on the session mutex, but **queries never wait**:
+    /// workers keep answering from the previously published snapshot
+    /// until the swap.
     ///
     /// A **persistence** failure does not fail the load: the in-memory
     /// session has already advanced, so the server stays up — read-only

@@ -42,6 +42,7 @@ use clogic_store::{
     DurableLog, FileStorage, LoadRecord, RecoveryIssue, RecoveryReport, SnapshotRecord, Storage,
     StoreError, WalOp, SNAPSHOT_FILE, WAL_FILE,
 };
+use folog::bottom_up::EvalError;
 use folog::builtins::builtin_symbols;
 use folog::magic::{solve_magic, solve_magic_labeled};
 use folog::tabling::{TabledEngine, TablingOptions};
@@ -51,7 +52,7 @@ use folog::{
 };
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// An evaluation strategy.
@@ -699,19 +700,32 @@ struct ModelArtifact {
     ev: Arc<Evaluation>,
 }
 
-/// An immutable, epoch-stamped bundle of every artifact the shared query
-/// path needs — the unit of publication of the lock-free serving design.
+/// An epoch-stamped bundle of every artifact the shared query path
+/// needs — the unit of publication of the lock-free serving design.
 ///
 /// [`Session::prepare`] builds one from the session's (Arc-shared)
 /// artifacts and publishes it into the session's [`SnapshotCell`] with a
 /// single pointer swap. Readers that hold an `Arc<SessionSnapshot>` keep
 /// answering against exactly the epoch they pinned, no matter how many
 /// loads the writer runs concurrently: a later publish swaps the cell's
-/// pointer but never mutates (or frees) a pinned snapshot. Queries
+/// pointer but never touches (or frees) a pinned snapshot. Queries
 /// through a snapshot never block on the session and never clone an
 /// artifact — per-query clause additions ride a [`ClauseOverlay`] and
 /// conjunction-shaped negation is checked lazily against the saturated
 /// model.
+///
+/// Every artifact is fixed at publish except the naive least model:
+/// the first [`Strategy::BottomUpNaive`] query against the snapshot
+/// saturates it from scratch over the snapshot's own compiled program,
+/// under the frozen session budget and termination guard, and every
+/// later naive query shares it. The model is a function of the pinned
+/// epoch alone, so filling the slot changes no answer — concurrent first
+/// queries wait for the one saturation rather than racing their own.
+///
+/// A bottom-up model that cannot be built (an unstratifiable program)
+/// does not stop the publish: its slot holds the [`EvalError`], which
+/// bottom-up queries return as [`SessionError::Eval`] while every other
+/// strategy keeps answering.
 ///
 /// The snapshot also carries a **cross-strategy answer cache** for
 /// serving layers ([`SessionSnapshot::query_cached`]): all six strategies
@@ -719,8 +733,9 @@ struct ModelArtifact {
 /// `tests/equivalence.rs`), so complete answers are keyed by the
 /// canonical query text alone and a hit under any strategy serves every
 /// other. Incomplete (budget-cut) answers are never cached, and
-/// strategy-specific rejections (negation under tabling/magic) are
-/// checked before the cache so a hit can never mask them.
+/// strategy-specific rejections (negation under tabling/magic, a
+/// bottom-up model error) are checked before the cache so a hit can
+/// never mask them.
 pub struct SessionSnapshot {
     /// Load epoch this snapshot is current for.
     epoch: u64,
@@ -740,10 +755,12 @@ pub struct SessionSnapshot {
     fo: Arc<FoProgram>,
     cp: Arc<CompiledProgram>,
     dp: Arc<DirectProgram>,
-    /// Saturated (or budget-cut) model for the naive fixpoint.
-    naive: Arc<Evaluation>,
-    /// Saturated (or budget-cut) model for the semi-naive fixpoint.
-    semi: Arc<Evaluation>,
+    /// Saturated (or budget-cut) model for the semi-naive fixpoint,
+    /// built by [`Session::prepare`].
+    semi: Result<Arc<Evaluation>, EvalError>,
+    /// Saturated (or budget-cut) model for the naive fixpoint, built by
+    /// the first naive query (see [`SessionSnapshot::model`]).
+    naive: OnceLock<Result<Arc<Evaluation>, EvalError>>,
     /// Complete answers memoized by canonical query text (strategy-
     /// agnostic — see the type docs). Interior mutability keeps the
     /// snapshot shareable as a plain `Arc`.
@@ -799,6 +816,26 @@ impl SessionSnapshot {
         b
     }
 
+    /// The saturated model a bottom-up strategy reads. The naive one is
+    /// saturated by the first call that asks for it, under the frozen
+    /// session budget and termination guard rather than any request's
+    /// `extra`, so the memoized model — complete or budget-cut — does not
+    /// depend on which request happened to come first.
+    fn model(&self, fs: FixpointStrategy) -> &Result<Arc<Evaluation>, EvalError> {
+        match fs {
+            FixpointStrategy::SemiNaive => &self.semi,
+            FixpointStrategy::Naive => self.naive.get_or_init(|| {
+                let mut opts = FixpointOptions {
+                    strategy: fs,
+                    ..self.options.fixpoint.clone()
+                };
+                opts.budget = self.effective(&opts.budget, &Budget::unlimited());
+                opts.obs = self.options.obs.clone();
+                folog::evaluate(&*self.cp, opts).map(Arc::new)
+            }),
+        }
+    }
+
     /// Parses and answers a query against this snapshot's pinned epoch.
     /// See [`SessionSnapshot::query_ast`].
     pub fn query(
@@ -819,7 +856,8 @@ impl SessionSnapshot {
     /// against a *complete* saturated model they are checked lazily
     /// instead of resuming the fixpoint. `extra` is merged (tighter
     /// ceiling wins) into the effective budget — the seam for
-    /// per-request deadlines and cancellation.
+    /// per-request deadlines and cancellation. It does not bound the
+    /// one-time naive saturation (see [`SessionSnapshot`]).
     pub fn query_ast(
         &self,
         q: &Query,
@@ -877,11 +915,12 @@ impl SessionSnapshot {
                 let mut aux = Vec::new();
                 let mut counter = 0;
                 let (goals, neg_goals) = tr.query_parts(q, &mut aux, &mut counter);
-                let (fs, m) = if strategy == Strategy::BottomUpNaive {
-                    (FixpointStrategy::Naive, &self.naive)
+                let fs = if strategy == Strategy::BottomUpNaive {
+                    FixpointStrategy::Naive
                 } else {
-                    (FixpointStrategy::SemiNaive, &self.semi)
+                    FixpointStrategy::SemiNaive
                 };
+                let m = self.model(fs).as_ref().map_err(|e| e.clone())?;
                 if aux.is_empty() {
                     Ok(Answers {
                         rows: m
@@ -990,8 +1029,11 @@ impl SessionSnapshot {
     /// Only **complete** answer sets are cached (all six strategies
     /// return identical complete answers, so the key is the canonical
     /// query text alone). Strategy-specific rejections run before the
-    /// lookup, and incomplete (budget-cut) answers are recomputed on
-    /// every ask.
+    /// lookup — a negated query under tabling or magic, a program with
+    /// negation under magic, and a bottom-up model that could not be
+    /// built (which is why a naive query saturates the naive model even
+    /// when the cache holds its answer) — and incomplete (budget-cut)
+    /// answers are recomputed on every ask.
     pub fn query_cached(
         &self,
         src: &str,
@@ -999,7 +1041,14 @@ impl SessionSnapshot {
         extra: &Budget,
     ) -> Result<(Answers, bool), SessionError> {
         let q = parse_query(src)?;
-        if matches!(strategy, Strategy::Tabled | Strategy::Magic) && q.has_negation() {
+        let rejected = match strategy {
+            Strategy::Tabled => q.has_negation(),
+            Strategy::Magic => q.has_negation() || self.cp.has_negation(),
+            Strategy::BottomUpNaive => self.model(FixpointStrategy::Naive).is_err(),
+            Strategy::BottomUpSemiNaive => self.model(FixpointStrategy::SemiNaive).is_err(),
+            Strategy::Direct | Strategy::Sld => false,
+        };
+        if rejected {
             // Fall through to the honest rejection; a cached answer from
             // another strategy must not mask it.
             return self.query_ast(&q, strategy, extra).map(|a| (a, false));
@@ -1484,11 +1533,11 @@ impl Session {
     /// delete-rederive pass ([`folog::retract_facts`]) when the
     /// retraction only removes ground base facts at the first-order
     /// level; if the translated rule set itself changed (the optimizer's
-    /// global analyses may re-fire) or a model was budget-cut, the
-    /// affected models are dropped and recomputed lazily instead. The
-    /// direct engine's clustered store is append-only, so it is always
-    /// rebuilt lazily. In a persistent session the retraction is
-    /// appended to the write-ahead log (as a
+    /// global analyses may re-fire), or a model was budget-cut or lags
+    /// the translation, the affected models are dropped and recomputed
+    /// lazily instead. The direct engine's clustered store is
+    /// append-only, so it is always rebuilt lazily. In a persistent
+    /// session the retraction is appended to the write-ahead log (as a
     /// [`WalOp::Retract`](clogic_store::WalOp) record) before returning,
     /// under the same gap-healing contract as [`Session::load`].
     pub fn retract(&mut self, src: &str) -> Result<(), SessionError> {
@@ -1576,8 +1625,12 @@ impl Session {
         let mut patched = 0u64;
         let mut dropped = 0u64;
         if let Some((removed, added)) = diff {
+            // The diff only describes a model of the old translation
+            // itself: one that lags it (the naive model after loads that
+            // were prepared for serving) is dropped, not patched.
+            let old_epoch = prev_translated.as_ref().map_or(0, |t| t.epoch);
             for (fs, art) in prev_models {
-                if art.generation != old_gen || !art.ev.complete {
+                if art.generation != old_gen || art.epoch != old_epoch || !art.ev.complete {
                     dropped += 1;
                     continue;
                 }
@@ -1662,9 +1715,16 @@ impl Session {
         self.options.obs.metrics.snapshot()
     }
 
-    /// Fixpoint statistics of the cached bottom-up model for a strategy,
-    /// if one has been computed. A model resumed across epochs keeps
-    /// accumulating into the same counters.
+    /// Fixpoint statistics of the session's cached bottom-up model for a
+    /// strategy, if one has been computed. A model resumed across epochs
+    /// keeps accumulating into the same counters.
+    ///
+    /// [`Session::prepare`] keeps only the semi-naive model current. The
+    /// naive one exists once an exclusive-path naive query
+    /// ([`Session::query`], [`Session::explain`]) has built it, and its
+    /// counters then lag any later epoch until the next such query. The
+    /// naive model a [`SessionSnapshot`] saturates for its own naive
+    /// queries is not reported here.
     pub fn model_stats(&self, strategy: Strategy) -> Option<&FixpointStats> {
         let fs = match strategy {
             Strategy::BottomUpNaive => FixpointStrategy::Naive,
@@ -1915,7 +1975,7 @@ impl Session {
         &mut self,
         fs: FixpointStrategy,
         opts: FixpointOptions,
-    ) -> Result<ModelProvenance, SessionError> {
+    ) -> Result<ModelProvenance, EvalError> {
         self.ensure_compiled();
         let gen = self.translated.as_ref().expect("ensured").generation;
         let cp = &self.compiled_fo.as_ref().expect("ensured").cp;
@@ -2200,54 +2260,54 @@ impl Session {
         self.durable.as_ref().is_some_and(|log| log.breaker_open())
     }
 
-    /// Brings **every** strategy's artifacts up to the current epoch:
-    /// the translation, the compiled first-order program, the direct
-    /// engine's program, and the saturated bottom-up models for both
-    /// fixpoint strategies. After `prepare` returns, any query without
-    /// conjunction-shaped negation can be answered through the shared
-    /// (`&self`) path [`Session::query_shared`] with no further artifact
-    /// work — this is the writer's half of the writer/reader discipline
-    /// the `clogic-serve` crate builds on: loads (and this call)
-    /// serialize behind exclusive access, queries then fan out over the
-    /// epoch-stamped artifacts from as many threads as the caller likes.
+    /// Brings the serving artifacts up to the current epoch — the
+    /// translation, the compiled first-order program, the direct
+    /// engine's program and the saturated semi-naive model — and
+    /// publishes them as a [`SessionSnapshot`]. After `prepare` returns,
+    /// any query without conjunction-shaped negation can be answered
+    /// through the shared (`&self`) path [`Session::query_shared`] with
+    /// no further artifact work, except that the first
+    /// [`Strategy::BottomUpNaive`] query against the snapshot saturates
+    /// the naive model from scratch. This is the writer's half of the
+    /// writer/reader discipline the `clogic-serve` crate builds on: loads
+    /// (and this call) serialize behind exclusive access, queries then
+    /// fan out over the epoch-stamped artifacts from as many threads as
+    /// the caller likes.
     ///
     /// Model saturation runs under the session budget (plus termination
     /// guard); a budget-cut model is kept and served — shared queries
     /// over it return partial answers with the usual [`Degradation`]
-    /// report, exactly like the exclusive path.
+    /// report, exactly like the exclusive path. A model that cannot be
+    /// built at all (an unstratifiable program) is published as its
+    /// error, which bottom-up queries against the snapshot return; the
+    /// call itself still succeeds, so a write that the log has already
+    /// accepted is never left unpublished.
     pub fn prepare(&mut self) -> Result<(), SessionError> {
         self.ensure_translated();
         self.ensure_compiled();
         self.ensure_direct();
-        for fs in [FixpointStrategy::Naive, FixpointStrategy::SemiNaive] {
-            let mut opts = FixpointOptions {
-                strategy: fs,
-                ..self.options.fixpoint.clone()
-            };
-            opts.budget = self.effective_budget(&opts.budget);
-            opts.obs = self.options.obs.clone();
-            self.ensure_model(fs, opts)?;
-        }
-        self.publish_snapshot();
+        let fs = FixpointStrategy::SemiNaive;
+        let mut opts = FixpointOptions {
+            strategy: fs,
+            ..self.options.fixpoint.clone()
+        };
+        opts.budget = self.effective_budget(&opts.budget);
+        opts.obs = self.options.obs.clone();
+        let semi = self
+            .ensure_model(fs, opts)
+            .map(|_| Arc::clone(&self.models.get(&fs).expect("ensured").ev));
+        self.publish_snapshot(semi);
         Ok(())
     }
 
-    /// Bundles the (just-prepared) artifacts into an immutable
-    /// [`SessionSnapshot`] and publishes it — one pointer swap — into
-    /// the session's [`SnapshotCell`]. Readers that loaded an earlier
-    /// snapshot keep it pinned; nothing they hold is mutated or freed.
-    /// Only called on *successful* [`Session::prepare`]: a failed
-    /// prepare leaves the previous snapshot serving.
-    fn publish_snapshot(&mut self) {
+    /// Bundles the (just-prepared) artifacts into a [`SessionSnapshot`]
+    /// and publishes it — one pointer swap — into the session's
+    /// [`SnapshotCell`]. Readers that loaded an earlier snapshot keep it
+    /// pinned; nothing they hold is mutated or freed.
+    fn publish_snapshot(&mut self, semi: Result<Arc<Evaluation>, EvalError>) {
         let t = self.translated.as_ref().expect("prepared");
         let c = self.compiled_fo.as_ref().expect("prepared");
         let d = self.direct.as_ref().expect("prepared");
-        let naive = &self.models.get(&FixpointStrategy::Naive).expect("prepared").ev;
-        let semi = &self
-            .models
-            .get(&FixpointStrategy::SemiNaive)
-            .expect("prepared")
-            .ev;
         let snap = Arc::new(SessionSnapshot {
             epoch: self.epoch,
             generation: t.generation,
@@ -2258,8 +2318,8 @@ impl Session {
             fo: Arc::clone(&t.fo),
             cp: Arc::clone(&c.cp),
             dp: Arc::clone(&d.dp),
-            naive: Arc::clone(naive),
-            semi: Arc::clone(semi),
+            semi,
+            naive: OnceLock::new(),
             answers: Mutex::new(HashMap::new()),
         });
         self.options

@@ -376,3 +376,35 @@ fn incomplete_answers_are_not_cached() {
     assert_eq!(s.cache_stats().hits, 0, "partial answers must not be served from cache");
     assert_eq!(s.cache_stats().misses, 2);
 }
+
+/// A retraction DRed-patches only a model of the translation it diffs.
+/// A model that lags it — the naive model the exclusive path built
+/// before loads that `prepare` (or another strategy) translated — must
+/// be dropped and recomputed, or the facts loaded since would vanish.
+#[test]
+fn retract_recomputes_a_model_that_lags_the_translation() {
+    let pairs = [
+        (Strategy::BottomUpNaive, Strategy::BottomUpSemiNaive),
+        (Strategy::BottomUpSemiNaive, Strategy::BottomUpNaive),
+    ];
+    for (lagging, other) in pairs {
+        let mut s = Session::new();
+        s.load("t1: c1.").unwrap();
+        assert_eq!(s.query("t1: X", lagging).unwrap().rows.len(), 1);
+        s.load("t1: c2.").unwrap();
+        assert_eq!(s.query("t1: X", other).unwrap().rows.len(), 2);
+        s.retract("t1: c1.").unwrap();
+        let r = s.query("t1: X", lagging).unwrap();
+        assert_eq!(r.rendered(), ["X = c2"], "{lagging:?}");
+    }
+
+    let mut s = Session::new();
+    s.load("t1: c1.").unwrap();
+    s.query("t1: X", Strategy::BottomUpNaive).unwrap();
+    s.load("t1: c2.").unwrap();
+    s.prepare().unwrap();
+    s.retract("t1: c1.").unwrap();
+    s.prepare().unwrap();
+    let r = s.query("t1: X", Strategy::BottomUpNaive).unwrap();
+    assert_eq!(r.rendered(), ["X = c2"]);
+}

@@ -19,10 +19,13 @@
 //! with an intermittent fault burst at that operation — while a second
 //! thread hammers queries the whole time.
 
+use clogic::folog::bottom_up::EvalError;
 use clogic::folog::Budget;
-use clogic::session::{Session, SessionOptions, Strategy};
-use clogic::store::{ChaosStorage, Fault, MemStorage, RetryPolicy, RetryingStorage, Sleeper};
-use clogic_serve::{ServeError, ServeOptions, Server};
+use clogic::session::{Answers, Session, SessionError, SessionOptions, Strategy};
+use clogic::store::{
+    ChaosStorage, Fault, MemStorage, RetryPolicy, RetryingStorage, Sleeper, Storage,
+};
+use clogic_serve::{ManagerOptions, ServeError, ServeOptions, Server, SessionManager, StorageFactory};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -487,6 +490,145 @@ fn overload_sheds_structurally_and_answers_the_accepted() {
         assert!(snap.counter("serve.shed").unwrap() > 0);
     }
     server.shutdown();
+}
+
+fn fixpoint_evaluations(s: &Session) -> u64 {
+    s.metrics().counter("folog.fixpoint.evaluations").unwrap_or(0)
+}
+
+/// `prepare` resumes only the semi-naive model; a snapshot saturates its
+/// naive model on the first naive query and shares it with every later
+/// one, including concurrent first queries.
+#[test]
+fn prepare_runs_one_fixpoint_per_write_and_snapshots_saturate_naive_once() {
+    let chunks = chunks();
+    let unlimited = Budget::unlimited();
+    let mut s = Session::with_options(opts());
+    s.load(&chunks[0]).unwrap();
+    s.prepare().unwrap();
+    for c in &chunks[1..3] {
+        let before = fixpoint_evaluations(&s);
+        s.load(c).unwrap();
+        s.prepare().unwrap();
+        assert_eq!(fixpoint_evaluations(&s), before + 1, "one fixpoint per write");
+    }
+
+    let snap = s.current_snapshot().expect("prepare publishes a snapshot");
+    let before = fixpoint_evaluations(&s);
+    for q in QUERIES {
+        let semi = snap.query(q, Strategy::BottomUpSemiNaive, &unlimited).unwrap();
+        for _ in 0..2 {
+            let naive = snap.query(q, Strategy::BottomUpNaive, &unlimited).unwrap();
+            assert!(naive.complete, "{q}");
+            assert_eq!(naive.rendered(), semi.rendered(), "{q}");
+        }
+    }
+    assert_eq!(fixpoint_evaluations(&s), before + 1, "one naive saturation per snapshot");
+
+    s.load(&chunks[3]).unwrap();
+    s.prepare().unwrap();
+    let snap = s.current_snapshot().expect("republished");
+    let before = fixpoint_evaluations(&s);
+    let start = std::sync::Barrier::new(4);
+    let answers: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    let a = snap
+                        .query("t3: O[l2 => V]", Strategy::BottomUpNaive, &unlimited)
+                        .unwrap();
+                    assert!(a.complete);
+                    a.rendered()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let want = baseline(&chunks)
+        .query("t3: O[l2 => V]", Strategy::BottomUpNaive)
+        .unwrap()
+        .rendered();
+    assert!(answers.iter().all(|a| *a == want), "{answers:?}");
+    assert_eq!(fixpoint_evaluations(&s), before + 1, "racing first queries share one saturation");
+}
+
+fn is_unstratifiable(r: Result<Answers, ServeError>) -> bool {
+    matches!(
+        r,
+        Err(ServeError::Session(SessionError::Eval(EvalError::Unstratifiable(_))))
+    )
+}
+
+/// A load the log accepts but bottom-up evaluation rejects (a negative
+/// cycle) must still publish: the server keeps taking writes, restarts
+/// from the store, and every non-bottom-up strategy keeps answering.
+/// Bottom-up queries report the program's error — never an answer the
+/// cross-strategy cache got from another strategy — until a retraction
+/// breaks the cycle.
+#[test]
+fn unstratifiable_load_keeps_a_persistent_server_writable() {
+    const CYCLE: &str = "p: X :- seed: X, \\+ q: X.\nq: X :- seed: X, \\+ p: X.";
+    let serve_opts = || ServeOptions {
+        workers: workers(),
+        queue_depth: 1024,
+        default_deadline: None,
+    };
+    let mem = MemStorage::new();
+    let (session, _) = Session::recover_from(Box::new(mem.clone()), opts()).unwrap();
+    let server = Server::start(session, serve_opts()).unwrap();
+    server.load("seed: s.").unwrap();
+    server.load(CYCLE).expect("a logged load publishes");
+    server.load("seed: t.").expect("later loads still publish");
+    let both = server.query("seed: X", Strategy::Direct).unwrap();
+    assert_eq!(both.rendered(), ["X = s", "X = t"]);
+    for strategy in [Strategy::BottomUpNaive, Strategy::BottomUpSemiNaive] {
+        for q in ["seed: X", "p: X"] {
+            assert!(is_unstratifiable(server.query(q, strategy)), "{strategy:?} on {q}");
+        }
+    }
+    server.shutdown();
+
+    let (session, report) = Session::recover_from(Box::new(mem.clone()), opts()).unwrap();
+    assert_eq!(report.recovered_epoch, 3);
+    let server = Server::start(session, serve_opts()).expect("restart over the store");
+    let mut exclusive = Session::with_options(opts());
+    for src in ["seed: s.", CYCLE, "seed: t."] {
+        exclusive.load(src).unwrap();
+    }
+    for strategy in [Strategy::Direct, Strategy::Sld, Strategy::Tabled, Strategy::Magic] {
+        let served = match server.query("seed: X", strategy) {
+            Ok(a) => Ok(a.rendered()),
+            Err(ServeError::Session(e)) => Err(e.to_string()),
+            Err(e) => panic!("{strategy:?}: {e}"),
+        };
+        let want = exclusive
+            .query("seed: X", strategy)
+            .map(|a| a.rendered())
+            .map_err(|e| e.to_string());
+        assert_eq!(served, want, "{strategy:?}");
+    }
+    assert!(is_unstratifiable(server.query("seed: X", Strategy::BottomUpSemiNaive)));
+
+    server.retract("q: X :- seed: X, \\+ p: X.").unwrap();
+    for strategy in [Strategy::BottomUpNaive, Strategy::BottomUpSemiNaive] {
+        let a = server.query("p: X", strategy).unwrap();
+        assert_eq!(a.rendered(), ["X = s", "X = t"], "{strategy:?}");
+    }
+    server.shutdown();
+
+    // A tenant holding the cycle can be evicted and reopened.
+    let stores = Arc::new(Mutex::new(HashMap::<String, MemStorage>::new()));
+    let factory: StorageFactory = Arc::new(move |name| {
+        let mut stores = stores.lock().unwrap();
+        Ok(Box::new(stores.entry(name.to_string()).or_default().clone()) as Box<dyn Storage>)
+    });
+    let mgr = SessionManager::new(factory, ManagerOptions::default());
+    mgr.load("a", CYCLE).unwrap();
+    mgr.load("a", "seed: s.").unwrap();
+    assert!(mgr.evict("a").unwrap());
+    let a = mgr.query("a", "seed: X", Strategy::Direct).expect("reopened");
+    assert_eq!(a.rendered(), ["X = s"]);
 }
 
 // ---------- proptest: random interleaved workloads ----------
