@@ -1,5 +1,6 @@
 //! E9 — serving throughput: the lock-free snapshot query path through
-//! the `clogic-serve` thread pool vs the same workload run serially.
+//! the `clogic-serve` thread pool vs the same workload run serially on
+//! the same published snapshot, through its uncached `query`.
 //!
 //! The design claim under test: after `Session::prepare` publishes an
 //! immutable `SessionSnapshot`, workers answer entirely from the pinned
@@ -56,14 +57,20 @@ fn session(chains: usize, len: usize) -> Session {
     s
 }
 
-/// Serial reference: the same shared path one thread, **without** the
-/// serving layer's snapshot answer cache — every job evaluates.
+/// Serial reference: the same pinned snapshot on one thread, through
+/// its uncached `query` — **without** the answer cache, every job
+/// evaluates.
 fn run_serial(s: &Session, jobs: &[(String, Strategy)]) -> (usize, Duration) {
+    let snap = s.current_snapshot().expect("prepare publishes a snapshot");
     let unlimited = Budget::unlimited();
     let start = Instant::now();
     let mut rows = 0;
     for (q, strategy) in jobs {
-        rows += s.query_shared(q, *strategy, &unlimited).expect("query").rows.len();
+        rows += snap
+            .query(q, *strategy, &unlimited)
+            .expect("query")
+            .rows
+            .len();
     }
     (rows, start.elapsed())
 }
@@ -189,7 +196,7 @@ fn main() {
         ],
         &[
             vec![
-                "serial (&self path)".into(),
+                "serial (snapshot, uncached)".into(),
                 serial_rows.to_string(),
                 us(serial),
                 format!("{:.0}", qps(serial)),

@@ -219,22 +219,22 @@ pub fn solve_magic(
     builtins: &BTreeSet<Symbol>,
     opts: FixpointOptions,
 ) -> Result<(Vec<BTreeMap<Symbol, FoTerm>>, Evaluation), EvalError> {
-    let (answers, ev, _labels) = solve_magic_labeled(p, goals, builtins, opts)?;
+    let (answers, ev, _rewritten) = solve_magic_rewritten(p, goals, builtins, opts)?;
     Ok((answers, ev))
 }
 
-/// [`solve_magic`], additionally returning the **rewritten** program's
-/// rule labels. The evaluation's per-rule tuple counts
+/// [`solve_magic`], additionally returning the **rewritten** program it
+/// evaluated. The evaluation's per-rule tuple counts
 /// ([`crate::FixpointStats::per_rule`]) index into the rewritten program —
 /// magic rules, guards and adorned copies — not the source program, so a
-/// profiler needs these labels to say which rewritten rule produced what.
+/// profiler renders its rules to say which rewritten rule produced what.
 #[allow(clippy::type_complexity)]
-pub fn solve_magic_labeled(
+pub fn solve_magic_rewritten(
     p: &FoProgram,
     goals: &[FoAtom],
     builtins: &BTreeSet<Symbol>,
     opts: FixpointOptions,
-) -> Result<(Vec<BTreeMap<Symbol, FoTerm>>, Evaluation, Vec<String>), EvalError> {
+) -> Result<(Vec<BTreeMap<Symbol, FoTerm>>, Evaluation, CompiledProgram), EvalError> {
     if p.clauses.iter().any(|c| c.has_negation()) {
         // Magic rewriting of normal programs can break stratification;
         // out of scope (use stratified bottom-up).
@@ -248,7 +248,6 @@ pub fn solve_magic_labeled(
     );
     let mp = magic_transform(p, goals, builtins);
     let compiled = CompiledProgram::compile(&mp.program, builtins.iter().copied());
-    let labels: Vec<String> = compiled.rules.iter().map(|r| r.to_string()).collect();
     opts.obs.metrics.counter("folog.magic.queries").inc();
     opts.obs
         .metrics
@@ -275,7 +274,7 @@ pub fn solve_magic_labeled(
     answers.dedup();
     span.record("answers", answers.len());
     span.record("complete", u64::from(ev.complete));
-    Ok((answers, ev, labels))
+    Ok((answers, ev, compiled))
 }
 
 #[cfg(test)]

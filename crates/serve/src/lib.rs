@@ -472,12 +472,7 @@ fn run_job(shared: &Shared, job: &Job, extra: &Budget) -> Result<Answers, ServeE
             // to the writer, then pin what it published.
             shared.obs.metrics.counter("serve.prepare_escalations").inc();
             shared.lock_session().prepare()?;
-            shared
-                .snapshots
-                .load()
-                .ok_or(ServeError::Session(SessionError::NotPrepared(
-                    "session snapshot",
-                )))?
+            shared.snapshots.load().expect("prepare always publishes")
         }
     };
     answer_from(shared, &snap, job, extra)

@@ -400,11 +400,7 @@ impl SessionManager {
             None => {
                 self.obs.metrics.counter("serve.prepare_escalations").inc();
                 arc.lock().unwrap_or_else(|e| e.into_inner()).prepare()?;
-                snapshots
-                    .load()
-                    .ok_or(ServeError::Session(SessionError::NotPrepared(
-                        "session snapshot",
-                    )))?
+                snapshots.load().expect("prepare always publishes")
             }
         };
         let (answers, hit) = snap

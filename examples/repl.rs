@@ -121,7 +121,7 @@ fn main() {
                          :open <path>   recover a session from a directory\n\
                          :snapshot      compact the write-ahead log now\n\
                          :store         show persistence health (circuit breaker)\n\
-                         :explain <q>   profile query <q> under the current strategy\n\
+                         :explain <q>   profile query <q> under the current strategy (current tenant in serve mode)\n\
                          :metrics       dump the session's metrics registry\n\
                          :serve <dir> [cap]  serve many tenants from <dir> (LRU capacity cap)\n\
                          :tenant <name> switch the current tenant (serve mode)\n\
@@ -227,16 +227,28 @@ fn main() {
                         println!("% persistence healthy (circuit breaker closed)");
                     }
                 }
-                Some("explain") if serve.is_some() => {
-                    println!("! :explain targets the local session; :local to detach first");
-                }
                 Some("explain") => {
                     let query = cmd["explain".len()..].trim();
-                    if query.is_empty() {
+                    let profile = if query.is_empty() {
                         println!("usage: :explain <query>");
-                    } else if let Some(profile) =
+                        None
+                    } else if let Some((mgr, tenant)) = &serve {
+                        // The tenant's current snapshot, as its queries see it.
+                        match mgr.open(tenant) {
+                            Ok(pin) => guarded(|| {
+                                pin.lock()
+                                    .unwrap_or_else(|e| e.into_inner())
+                                    .explain(query, strategy)
+                            }),
+                            Err(e) => {
+                                report_error(&e);
+                                None
+                            }
+                        }
+                    } else {
                         guarded(|| session.explain(query, strategy))
-                    {
+                    };
+                    if let Some(profile) = profile {
                         println!("{}", profile.render_text());
                     }
                 }
@@ -417,8 +429,8 @@ fn run_query(session: &mut Session, query: &str, strategy: Strategy) {
         }
     }
     // The session is reused across the whole top-level run, so repeated
-    // queries hit the per-epoch answer cache and loads only cost their
-    // delta.
+    // queries — under any strategy — hit the snapshot's answer cache
+    // until the next load, and loads only cost their delta.
     let stats = session.cache_stats();
     println!(
         "% epoch {} | answer cache: {} hit{}, {} miss{}",

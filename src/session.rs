@@ -44,12 +44,13 @@ use clogic_store::{
 };
 use folog::bottom_up::EvalError;
 use folog::builtins::builtin_symbols;
-use folog::magic::{solve_magic, solve_magic_labeled};
+use folog::magic::solve_magic_rewritten;
 use folog::tabling::{TabledEngine, TablingOptions};
 use folog::{
     Budget, ClauseOverlay, ClauseView, CompiledProgram, Degradation, Evaluation, FixpointOptions,
     FixpointStats, SldEngine, SldOptions, Strategy as FixpointStrategy,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -157,10 +158,6 @@ pub enum SessionError {
     /// log when this is returned from [`Session::load`] — treat it as a
     /// crash and recover from the store.
     Store(StoreError),
-    /// A shared-access query ([`Session::query_shared`]) found the named
-    /// artifact stale for the current epoch. Call [`Session::prepare`]
-    /// (under exclusive access) after every load, then retry.
-    NotPrepared(&'static str),
     /// [`Session::retract`] found no loaded clause matching one of the
     /// clauses in its source. Nothing was retracted (the operation is
     /// all-or-nothing).
@@ -176,11 +173,6 @@ impl fmt::Display for SessionError {
             SessionError::Eval(e) => write!(f, "{e}"),
             SessionError::Tabling(e) => write!(f, "{e}"),
             SessionError::Store(e) => write!(f, "{e}"),
-            SessionError::NotPrepared(artifact) => write!(
-                f,
-                "session not prepared for shared queries: {artifact} is stale; \
-                 call Session::prepare after loading"
-            ),
             SessionError::NoSuchClause(c) => {
                 write!(f, "retract: no loaded clause matches `{c}`")
             }
@@ -192,9 +184,7 @@ impl std::error::Error for SessionError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SessionError::Parse(e) => Some(e),
-            SessionError::Unsupported(_)
-            | SessionError::NotPrepared(_)
-            | SessionError::NoSuchClause(_) => None,
+            SessionError::Unsupported(_) | SessionError::NoSuchClause(_) => None,
             SessionError::Builtin(e) => Some(e),
             SessionError::Eval(e) => Some(e),
             SessionError::Tabling(e) => Some(e),
@@ -324,6 +314,41 @@ impl Default for SessionOptions {
     }
 }
 
+impl SessionOptions {
+    /// Fixpoint options for one evaluation, under the effective budget.
+    fn fixpoint_for(
+        &self,
+        strategy: FixpointStrategy,
+        may_diverge: bool,
+        extra: &Budget,
+        obs: &Obs,
+    ) -> FixpointOptions {
+        FixpointOptions {
+            strategy,
+            budget: self.effective(may_diverge, &self.fixpoint.budget, extra),
+            obs: obs.clone(),
+            ..self.fixpoint.clone()
+        }
+    }
+
+    /// The effective budget for one engine invocation: the engine budget
+    /// tightened by the session budget and the caller's `extra`, then
+    /// bounded by the termination guard when the translated program
+    /// `may_diverge`.
+    fn effective(&self, may_diverge: bool, engine_budget: &Budget, extra: &Budget) -> Budget {
+        let mut b = engine_budget.merged(&self.budget).merged(extra);
+        if self.termination_guard && may_diverge {
+            if b.deadline.is_none() {
+                b.deadline = Some(GUARD_DEADLINE);
+            }
+            if b.max_facts.is_none() {
+                b.max_facts = Some(GUARD_MAX_FACTS);
+            }
+        }
+        b
+    }
+}
+
 /// How an epoch-versioned artifact (translation, compiled program,
 /// direct-engine program) was brought up to date for a query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -380,7 +405,11 @@ const GUARD_DEADLINE: std::time::Duration = std::time::Duration::from_secs(2);
 /// deadline, is what actually bounds term depth.
 const GUARD_MAX_FACTS: usize = 2_000;
 
-/// Hit/miss counters of the per-strategy answer cache.
+/// Complete answer sets a [`SessionSnapshot`] memoizes before an insert
+/// clears its answer cache (see [`SessionSnapshot::query_cached`]).
+pub const ANSWER_CACHE_CAPACITY: usize = 1_024;
+
+/// Hit/miss counters of [`Session::query`]'s answer-cache lookups.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from the cache.
@@ -401,7 +430,8 @@ pub struct PhaseTiming {
 /// Provenance of one artifact consulted by the profiled query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ArtifactNote {
-    /// Artifact name (`translation`, `compiled`, `direct`, `model`).
+    /// Artifact name (`translation`, `compiled`, `direct`, `model` — the
+    /// semi-naive one — or `naive model`).
     pub artifact: &'static str,
     /// How it was brought up to date (`current` / `extended` / `rebuilt`,
     /// or `reused` / `resumed` / `computed` for models).
@@ -441,34 +471,36 @@ pub struct BudgetUse {
     pub elapsed_us: u64,
 }
 
-/// What [`Session::explain`] found: an EXPLAIN-style profile of one query
-/// under one strategy.
+/// What [`SessionSnapshot::explain`] (or [`Session::explain`]) found: an
+/// EXPLAIN-style profile of one query under one strategy.
 ///
-/// The profile is built by *evaluating the query for real* — bypassing
-/// the answer cache but reporting whether it would have hit — with a
-/// fresh metrics registry attached, so [`QueryProfile::metrics`] holds
-/// exactly this evaluation's engine counters. Render it with
-/// [`Render::render_text`] (the REPL's `:explain`) or
-/// [`Render::render_json`].
+/// The profile is built by *evaluating the query for real* against a
+/// published snapshot — bypassing its answer cache but reporting whether
+/// it would have hit — with a fresh metrics registry attached, so
+/// [`QueryProfile::metrics`] holds exactly this evaluation's engine
+/// counters. Render it with [`Render::render_text`] (the REPL's
+/// `:explain`) or [`Render::render_json`].
 #[derive(Clone, Debug)]
 pub struct QueryProfile {
     /// The query, canonicalized.
     pub query: String,
     /// Strategy profiled.
     pub strategy: Strategy,
-    /// Session epoch at profile time.
+    /// Epoch of the snapshot the query was profiled against.
     pub epoch: u64,
-    /// Whether [`Session::query`] would have served this from the answer
-    /// cache instead of evaluating.
+    /// Whether [`SessionSnapshot::query_cached`] (and so
+    /// [`Session::query`]) would have served this from the snapshot's
+    /// answer cache instead of evaluating.
     pub cache_would_hit: bool,
     /// Wall time per pipeline phase, in pipeline order.
     pub phases: Vec<PhaseTiming>,
     /// Provenance of each artifact the strategy consulted.
     pub artifacts: Vec<ArtifactNote>,
-    /// Per-rule tuple production (zero-count rules omitted). For a
-    /// [`ModelProvenance::Reused`]/`Resumed` bottom-up model the counts
-    /// are cumulative over the model's whole life, not this query alone —
-    /// the `model` artifact note says which case applies.
+    /// Per-rule tuple production (zero-count rules omitted). For the
+    /// bottom-up strategies the counts come from the snapshot's saturated
+    /// model and are cumulative over its whole life (resumed across
+    /// epochs), not this query alone — the `model` artifact note says how
+    /// the model was obtained.
     pub rules: Vec<RuleTuples>,
     /// Answers the evaluation produced.
     pub answers: usize,
@@ -688,7 +720,7 @@ struct DirectArtifact {
     dp: Arc<DirectProgram>,
 }
 
-/// A saturated (or budget-cut) bottom-up model, kept for resumption.
+/// The saturated (or budget-cut) semi-naive model, kept for resumption.
 struct ModelArtifact {
     epoch: u64,
     /// Generation of the translation it was computed over.
@@ -700,12 +732,15 @@ struct ModelArtifact {
     ev: Arc<Evaluation>,
 }
 
-/// An epoch-stamped bundle of every artifact the shared query path
-/// needs — the unit of publication of the lock-free serving design.
+/// An epoch-stamped bundle of every artifact a query needs — the one
+/// place a query is answered, and the unit of publication of the
+/// lock-free serving design.
 ///
 /// [`Session::prepare`] builds one from the session's (Arc-shared)
 /// artifacts and publishes it into the session's [`SnapshotCell`] with a
-/// single pointer swap. Readers that hold an `Arc<SessionSnapshot>` keep
+/// single pointer swap; [`Session::query`] and [`Session::explain`]
+/// publish first when a write has made the last snapshot stale, then
+/// answer through it. Readers that hold an `Arc<SessionSnapshot>` keep
 /// answering against exactly the epoch they pinned, no matter how many
 /// loads the writer runs concurrently: a later publish swaps the cell's
 /// pointer but never touches (or frees) a pinned snapshot. Queries
@@ -727,15 +762,17 @@ struct ModelArtifact {
 /// bottom-up queries return as [`SessionError::Eval`] while every other
 /// strategy keeps answering.
 ///
-/// The snapshot also carries a **cross-strategy answer cache** for
-/// serving layers ([`SessionSnapshot::query_cached`]): all six strategies
-/// return identical complete answer sets (Theorem 1; enforced by
-/// `tests/equivalence.rs`), so complete answers are keyed by the
+/// The snapshot also carries the session's only answer cache, a
+/// **cross-strategy** one ([`SessionSnapshot::query_cached`]): all six
+/// strategies return identical complete answer sets (Theorem 1; enforced
+/// by `tests/equivalence.rs`), so complete answers are keyed by the
 /// canonical query text alone and a hit under any strategy serves every
 /// other. Incomplete (budget-cut) answers are never cached, and
 /// strategy-specific rejections (negation under tabling/magic, a
 /// bottom-up model error) are checked before the cache so a hit can
-/// never mask them.
+/// never mask them. The cache holds at most [`ANSWER_CACHE_CAPACITY`]
+/// answers: an insert that finds it full clears it first, and the
+/// dropped entries are counted in `session.snapshot.cache.evictions`.
 pub struct SessionSnapshot {
     /// Load epoch this snapshot is current for.
     epoch: u64,
@@ -767,6 +804,64 @@ pub struct SessionSnapshot {
     answers: Mutex<HashMap<String, Answers>>,
 }
 
+/// The program an evaluation's per-rule counts index into, which
+/// [`SessionSnapshot::explain`] renders rule labels from.
+enum RuleSource<'a> {
+    /// [`DirectProgram::clauses`]: the direct engine's rules and
+    /// non-ground facts (ground facts live in its clustered store).
+    Direct(&'a DirectProgram),
+    /// The snapshot's compiled first-order program.
+    Compiled(&'a CompiledProgram),
+    /// The compiled program plus the query's auxiliary clauses.
+    Overlay(ClauseOverlay<'a>),
+    /// The magic-sets rewrite of the program for this query.
+    Rewritten(CompiledProgram),
+}
+
+impl RuleSource<'_> {
+    fn label(&self, i: usize) -> String {
+        let rules: &dyn ClauseView = match self {
+            RuleSource::Direct(dp) => return dp.clauses[i].to_string(),
+            RuleSource::Compiled(cp) => *cp,
+            RuleSource::Overlay(view) => view,
+            RuleSource::Rewritten(cp) => cp,
+        };
+        if i < rules.len() {
+            rules.rule(i).to_string()
+        } else {
+            // Only tabling counts past the program: its goal wrapper.
+            "__query (goal wrapper)".to_string()
+        }
+    }
+}
+
+/// What the snapshot's dispatch returns: the answers, plus what a
+/// profile needs. The extra parts are moved or borrowed out of the
+/// evaluation, so a plain query pays nothing for them.
+struct Evaluated<'a> {
+    answers: Answers,
+    /// Tuples each rule produced, indexed into `rules`.
+    per_rule: Cow<'a, [u64]>,
+    rules: RuleSource<'a>,
+    /// The engine budget the effective budget was derived from.
+    engine_budget: &'a Budget,
+}
+
+fn answers(
+    rows: Vec<BTreeMap<Symbol, FoTerm>>,
+    complete: bool,
+    degradation: Option<Degradation>,
+) -> Answers {
+    Answers {
+        rows: rows
+            .into_iter()
+            .map(|bindings| AnswerRow { bindings })
+            .collect(),
+        complete,
+        degradation,
+    }
+}
+
 impl SessionSnapshot {
     /// The load epoch this snapshot was published for.
     pub fn epoch(&self) -> u64 {
@@ -789,7 +884,8 @@ impl SessionSnapshot {
         &self.skolem
     }
 
-    /// Number of answers currently memoized in the snapshot's cache.
+    /// Number of answers currently memoized in the snapshot's cache
+    /// (at most [`ANSWER_CACHE_CAPACITY`]).
     pub fn cached_answers(&self) -> usize {
         self.lock_answers().len()
     }
@@ -800,20 +896,10 @@ impl SessionSnapshot {
         self.answers.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The effective budget for one engine invocation: the engine budget
-    /// tightened by the frozen session budget and the caller's `extra`,
-    /// then bounded by the termination guard.
+    /// [`SessionOptions::effective`] under this snapshot's verdict.
     fn effective(&self, engine_budget: &Budget, extra: &Budget) -> Budget {
-        let mut b = engine_budget.merged(&self.options.budget).merged(extra);
-        if self.options.termination_guard && self.may_diverge {
-            if b.deadline.is_none() {
-                b.deadline = Some(GUARD_DEADLINE);
-            }
-            if b.max_facts.is_none() {
-                b.max_facts = Some(GUARD_MAX_FACTS);
-            }
-        }
-        b
+        self.options
+            .effective(self.may_diverge, engine_budget, extra)
     }
 
     /// The saturated model a bottom-up strategy reads. The naive one is
@@ -824,16 +910,27 @@ impl SessionSnapshot {
     fn model(&self, fs: FixpointStrategy) -> &Result<Arc<Evaluation>, EvalError> {
         match fs {
             FixpointStrategy::SemiNaive => &self.semi,
-            FixpointStrategy::Naive => self.naive.get_or_init(|| {
-                let mut opts = FixpointOptions {
-                    strategy: fs,
-                    ..self.options.fixpoint.clone()
-                };
-                opts.budget = self.effective(&opts.budget, &Budget::unlimited());
-                opts.obs = self.options.obs.clone();
-                folog::evaluate(&*self.cp, opts).map(Arc::new)
-            }),
+            FixpointStrategy::Naive => self
+                .naive
+                .get_or_init(|| self.saturate_naive(&self.options.obs)),
         }
+    }
+
+    /// One naive fixpoint over the snapshot's compiled program, flushing
+    /// its engine metrics into `obs`.
+    fn saturate_naive(&self, obs: &Obs) -> Result<Arc<Evaluation>, EvalError> {
+        let (fs, unlimited) = (FixpointStrategy::Naive, Budget::unlimited());
+        let opts = self.options.fixpoint_for(fs, self.may_diverge, &unlimited, obs);
+        folog::evaluate(&*self.cp, opts).map(Arc::new)
+    }
+
+    /// The compiled program plus query-local aux clauses, copy-on-write.
+    fn overlay(&self, aux: &[FoClause]) -> ClauseOverlay<'_> {
+        let mut view = ClauseOverlay::new(&*self.cp);
+        for c in aux {
+            view.push_clause(c);
+        }
+        view
     }
 
     /// Parses and answers a query against this snapshot's pinned epoch.
@@ -864,115 +961,91 @@ impl SessionSnapshot {
         strategy: Strategy,
         extra: &Budget,
     ) -> Result<Answers, SessionError> {
+        let ev = self.dispatch(q, strategy, extra, &self.options.obs)?;
+        Ok(ev.answers)
+    }
+
+    /// The one query dispatch: evaluates `q` under `strategy` against
+    /// the snapshot's artifacts, flushing engine metrics into `obs`.
+    fn dispatch(
+        &self,
+        q: &Query,
+        strategy: Strategy,
+        extra: &Budget,
+        obs: &Obs,
+    ) -> Result<Evaluated<'_>, SessionError> {
         match strategy {
             Strategy::Direct => {
                 let mut opts = self.options.direct.clone();
                 opts.budget = self.effective(&opts.budget, extra);
-                opts.obs = self.options.obs.clone();
+                opts.obs = obs.clone();
                 let r = DirectEngine::new(&self.dp, opts).solve(q)?;
-                Ok(Answers {
-                    rows: r
-                        .answers
-                        .into_iter()
-                        .map(|bindings| AnswerRow { bindings })
-                        .collect(),
-                    complete: r.complete,
-                    degradation: r.degradation,
+                Ok(Evaluated {
+                    answers: answers(r.answers, r.complete, r.degradation),
+                    per_rule: Cow::Owned(r.per_rule),
+                    rules: RuleSource::Direct(&self.dp),
+                    engine_budget: &self.options.direct.budget,
                 })
             }
             Strategy::Sld => {
-                let tr = Transformer::new();
                 let mut aux = Vec::new();
-                let mut counter = 0;
-                let (goals, neg_goals) = tr.query_parts(q, &mut aux, &mut counter);
+                let (goals, neg_goals) = Transformer::new().query_parts(q, &mut aux, &mut 0);
                 let mut opts = self.options.sld.clone();
                 opts.budget = self.effective(&opts.budget, extra);
-                opts.obs = self.options.obs.clone();
-                let r = if aux.is_empty() {
-                    SldEngine::new(&*self.cp, opts).solve_with_negation(&goals, &neg_goals)?
+                opts.obs = obs.clone();
+                let (r, rules) = if aux.is_empty() {
+                    let r =
+                        SldEngine::new(&*self.cp, opts).solve_with_negation(&goals, &neg_goals)?;
+                    (r, RuleSource::Compiled(&self.cp))
                 } else {
                     // Conjunction-shaped negated goals need their
                     // auxiliary clauses in the program: a COW overlay
                     // extends the shared artifact without cloning it.
-                    let mut view = ClauseOverlay::new(&*self.cp);
-                    for c in &aux {
-                        view.push_clause(c);
-                    }
-                    SldEngine::new(&view, opts).solve_with_negation(&goals, &neg_goals)?
+                    let view = self.overlay(&aux);
+                    let r = SldEngine::new(&view, opts).solve_with_negation(&goals, &neg_goals)?;
+                    (r, RuleSource::Overlay(view))
                 };
-                Ok(Answers {
-                    rows: r
-                        .answers
-                        .into_iter()
-                        .map(|bindings| AnswerRow { bindings })
-                        .collect(),
-                    complete: r.complete,
-                    degradation: r.degradation,
+                Ok(Evaluated {
+                    answers: answers(r.answers, r.complete, r.degradation),
+                    per_rule: Cow::Owned(r.per_rule),
+                    rules,
+                    engine_budget: &self.options.sld.budget,
                 })
             }
             Strategy::BottomUpNaive | Strategy::BottomUpSemiNaive => {
-                let tr = Transformer::new();
                 let mut aux = Vec::new();
-                let mut counter = 0;
-                let (goals, neg_goals) = tr.query_parts(q, &mut aux, &mut counter);
+                let (goals, neg_goals) = Transformer::new().query_parts(q, &mut aux, &mut 0);
                 let fs = if strategy == Strategy::BottomUpNaive {
                     FixpointStrategy::Naive
                 } else {
                     FixpointStrategy::SemiNaive
                 };
+                let engine_budget = &self.options.fixpoint.budget;
                 let m = self.model(fs).as_ref().map_err(|e| e.clone())?;
-                if aux.is_empty() {
-                    Ok(Answers {
-                        rows: m
-                            .query_with_negation(&goals, &neg_goals)?
-                            .into_iter()
-                            .map(|bindings| AnswerRow {
-                                bindings: bindings.into_iter().collect(),
-                            })
-                            .collect(),
-                        complete: m.complete,
-                        degradation: m.degradation.clone(),
-                    })
-                } else if m.complete {
+                if aux.is_empty() || m.complete {
                     // Against a complete model the query-local `__naux…`
                     // clauses are checked lazily per candidate answer —
                     // exact for the translation's aux clauses, and no
                     // model clone or fixpoint resumption.
-                    Ok(Answers {
-                        rows: m
-                            .query_with_negation_aux(&goals, &neg_goals, &aux)?
-                            .into_iter()
-                            .map(|bindings| AnswerRow {
-                                bindings: bindings.into_iter().collect(),
-                            })
-                            .collect(),
-                        complete: m.complete,
-                        degradation: m.degradation.clone(),
+                    let rows = m.query_with_negation_aux(&goals, &neg_goals, &aux)?;
+                    Ok(Evaluated {
+                        answers: answers(rows, m.complete, m.degradation.clone()),
+                        per_rule: Cow::Borrowed(&m.stats.per_rule),
+                        rules: RuleSource::Compiled(&self.cp),
+                        engine_budget,
                     })
                 } else {
                     // A budget-cut model cannot be resumed; re-evaluate
                     // over an overlay carrying the aux clauses.
-                    let mut opts = FixpointOptions {
-                        strategy: fs,
-                        ..self.options.fixpoint.clone()
-                    };
-                    opts.budget = self.effective(&opts.budget, extra);
-                    opts.obs = self.options.obs.clone();
-                    let mut view = ClauseOverlay::new(&*self.cp);
-                    for c in &aux {
-                        view.push_clause(c);
-                    }
+                    let opts = self.options.fixpoint_for(fs, self.may_diverge, extra, obs);
+                    let view = self.overlay(&aux);
                     let ev = folog::evaluate(&view, opts)?;
-                    Ok(Answers {
-                        rows: ev
-                            .query_with_negation(&goals, &neg_goals)?
-                            .into_iter()
-                            .map(|bindings| AnswerRow {
-                                bindings: bindings.into_iter().collect(),
-                            })
-                            .collect(),
-                        complete: ev.complete,
-                        degradation: ev.degradation,
+                    let rows = ev.query_with_negation(&goals, &neg_goals)?;
+                    Ok(Evaluated {
+                        answers: answers(rows, ev.complete, ev.degradation),
+                        per_rule: Cow::Owned(ev.stats.per_rule),
+                        rules: RuleSource::Overlay(view),
+                        engine_budget,
                     })
                 }
             }
@@ -985,16 +1058,13 @@ impl SessionSnapshot {
                 let goals = Transformer::new().query(q);
                 let mut opts = self.options.tabling.clone();
                 opts.budget = self.effective(&opts.budget, extra);
-                opts.obs = self.options.obs.clone();
+                opts.obs = obs.clone();
                 let r = TabledEngine::new(&*self.cp, opts).solve(&goals)?;
-                Ok(Answers {
-                    rows: r
-                        .answers
-                        .into_iter()
-                        .map(|bindings| AnswerRow { bindings })
-                        .collect(),
-                    complete: r.complete,
-                    degradation: r.degradation,
+                Ok(Evaluated {
+                    answers: answers(r.answers, r.complete, r.degradation),
+                    per_rule: Cow::Owned(r.per_rule),
+                    rules: RuleSource::Compiled(&self.cp),
+                    engine_budget: &self.options.tabling.budget,
                 })
             }
             Strategy::Magic => {
@@ -1004,43 +1074,26 @@ impl SessionSnapshot {
                     ));
                 }
                 let goals = Transformer::new().query(q);
-                let mut opts = self.options.fixpoint.clone();
-                opts.budget = self.effective(&opts.budget, extra);
-                opts.obs = self.options.obs.clone();
+                let fs = self.options.fixpoint.strategy;
+                let opts = self.options.fixpoint_for(fs, self.may_diverge, extra, obs);
                 let builtins = builtin_symbols().collect();
-                let (answers, ev) = solve_magic(&self.fo, &goals, &builtins, opts)?;
-                Ok(Answers {
-                    rows: answers
-                        .into_iter()
-                        .map(|bindings| AnswerRow {
-                            bindings: bindings.into_iter().collect(),
-                        })
-                        .collect(),
-                    complete: ev.complete,
-                    degradation: ev.degradation,
+                let (rows, ev, rewritten) =
+                    solve_magic_rewritten(&self.fo, &goals, &builtins, opts)?;
+                Ok(Evaluated {
+                    answers: answers(rows, ev.complete, ev.degradation),
+                    per_rule: Cow::Owned(ev.stats.per_rule),
+                    rules: RuleSource::Rewritten(rewritten),
+                    engine_budget: &self.options.fixpoint.budget,
                 })
             }
         }
     }
 
-    /// [`SessionSnapshot::query`] through the snapshot's cross-strategy
-    /// answer cache; the returned flag is `true` on a cache hit.
-    ///
-    /// Only **complete** answer sets are cached (all six strategies
-    /// return identical complete answers, so the key is the canonical
-    /// query text alone). Strategy-specific rejections run before the
-    /// lookup — a negated query under tabling or magic, a program with
-    /// negation under magic, and a bottom-up model that could not be
-    /// built (which is why a naive query saturates the naive model even
-    /// when the cache holds its answer) — and incomplete (budget-cut)
-    /// answers are recomputed on every ask.
-    pub fn query_cached(
-        &self,
-        src: &str,
-        strategy: Strategy,
-        extra: &Budget,
-    ) -> Result<(Answers, bool), SessionError> {
-        let q = parse_query(src)?;
+    /// The answer-cache key of `q`: its canonical text, or `None` when
+    /// `strategy` rejects the query (see [`SessionSnapshot`]) — checked
+    /// before any lookup, so a naive query saturates the naive model
+    /// even when another strategy's answer is cached.
+    fn cache_key(&self, q: &Query, strategy: Strategy) -> Option<String> {
         let rejected = match strategy {
             Strategy::Tabled => q.has_negation(),
             Strategy::Magic => q.has_negation() || self.cp.has_negation(),
@@ -1048,21 +1101,145 @@ impl SessionSnapshot {
             Strategy::BottomUpSemiNaive => self.model(FixpointStrategy::SemiNaive).is_err(),
             Strategy::Direct | Strategy::Sld => false,
         };
-        if rejected {
-            // Fall through to the honest rejection; a cached answer from
-            // another strategy must not mask it.
-            return self.query_ast(&q, strategy, extra).map(|a| (a, false));
-        }
-        let key = q.to_string();
+        (!rejected).then(|| q.to_string())
+    }
+
+    /// [`SessionSnapshot::query`] through the snapshot's cross-strategy
+    /// answer cache (see [`SessionSnapshot`]); the returned flag is `true`
+    /// on a cache hit. Only **complete** answer sets are cached, and an
+    /// insert that finds [`ANSWER_CACHE_CAPACITY`] answers clears the
+    /// cache first, so a repeat right after an insert always hits.
+    pub fn query_cached(
+        &self,
+        src: &str,
+        strategy: Strategy,
+        extra: &Budget,
+    ) -> Result<(Answers, bool), SessionError> {
+        let q = parse_query(src)?;
+        self.query_ast_cached(&q, strategy, extra)
+    }
+
+    fn query_ast_cached(
+        &self,
+        q: &Query,
+        strategy: Strategy,
+        extra: &Budget,
+    ) -> Result<(Answers, bool), SessionError> {
+        let Some(key) = self.cache_key(q, strategy) else {
+            // Fall through to the honest rejection.
+            return self.query_ast(q, strategy, extra).map(|a| (a, false));
+        };
         if let Some(hit) = self.lock_answers().get(&key) {
             return Ok((hit.clone(), true));
         }
-        let a = self.query_ast(&q, strategy, extra)?;
+        let a = self.query_ast(q, strategy, extra)?;
         if a.complete {
-            self.lock_answers().insert(key, a.clone());
+            let mut cache = self.lock_answers();
+            if cache.len() >= ANSWER_CACHE_CAPACITY {
+                self.options
+                    .obs
+                    .metrics
+                    .counter("session.snapshot.cache.evictions")
+                    .add(cache.len() as u64);
+                cache.clear();
+            }
+            cache.insert(key, a.clone());
         }
         Ok((a, false))
     }
+
+    /// Profiles one query under one strategy against this snapshot's
+    /// pinned epoch: per-phase wall time, artifact provenance, per-rule
+    /// tuple counts, budget consumption, and the engine metrics of
+    /// exactly this evaluation.
+    ///
+    /// The query runs **for real** through the same dispatch as
+    /// [`SessionSnapshot::query_ast`] (with `extra`), under a fresh metrics
+    /// registry. The answer cache is never filled, but
+    /// [`QueryProfile::cache_would_hit`] reports whether
+    /// [`SessionSnapshot::query_cached`]'s lookup would hit. The publish
+    /// built every artifact, so none takes time here — except the naive
+    /// model, which the snapshot's first naive query saturates: when this
+    /// call does, the saturation is noted `computed`, timed as the
+    /// `model` phase, and its engine metrics are the profile's.
+    pub fn explain(
+        &self,
+        src: &str,
+        strategy: Strategy,
+        extra: &Budget,
+    ) -> Result<QueryProfile, SessionError> {
+        let t = Instant::now();
+        let q = parse_query(src)?;
+        let mut phases = vec![("parse", micros(t)), ("translate", 0)];
+        // A fresh registry so the profile's metrics cover exactly this
+        // evaluation; the session's own registry is untouched by it.
+        let obs = Obs::new();
+        let current = ArtifactProvenance::Current.to_string();
+        let read = match strategy {
+            Strategy::Direct => Some(("direct", current.clone())),
+            Strategy::Sld | Strategy::Tabled => Some(("compiled", current.clone())),
+            Strategy::BottomUpSemiNaive => Some(("model", ModelProvenance::Reused.to_string())),
+            Strategy::BottomUpNaive => {
+                let t = Instant::now();
+                let mut provenance = ModelProvenance::Reused;
+                self.naive.get_or_init(|| {
+                    provenance = ModelProvenance::Computed;
+                    self.saturate_naive(&obs)
+                });
+                phases.push(("model", micros(t)));
+                Some(("naive model", provenance.to_string()))
+            }
+            Strategy::Magic => None,
+        };
+        let artifacts = std::iter::once(("translation", current))
+            .chain(read)
+            .map(|(artifact, provenance)| ArtifactNote {
+                artifact,
+                provenance,
+            })
+            .collect();
+
+        let t = Instant::now();
+        let ev = self.dispatch(&q, strategy, extra, &obs)?;
+        let eval_us = micros(t);
+        phases.push(("evaluate", eval_us));
+        let phases = phases
+            .into_iter()
+            .map(|(name, micros)| PhaseTiming { name, micros })
+            .collect();
+        let cache_would_hit = self
+            .cache_key(&q, strategy)
+            .is_some_and(|key| self.lock_answers().contains_key(&key));
+        let rules = rule_tuples(&ev.per_rule, |i| ev.rules.label(i));
+        let budget = self.effective(ev.engine_budget, extra);
+        let base = ev.engine_budget.merged(&self.options.budget).merged(extra);
+        Ok(QueryProfile {
+            query: q.to_string(),
+            strategy,
+            epoch: self.epoch,
+            cache_would_hit,
+            phases,
+            artifacts,
+            rules,
+            answers: ev.answers.rows.len(),
+            complete: ev.answers.complete,
+            degradation: ev.answers.degradation,
+            budget: BudgetUse {
+                deadline_ms: budget.deadline.map(|d| d.as_millis() as u64),
+                max_steps: budget.max_steps,
+                max_facts: budget.max_facts.map(|v| v as u64),
+                max_memory_bytes: budget.max_memory_bytes.map(|v| v as u64),
+                guard_injected: budget.deadline != base.deadline
+                    || budget.max_facts != base.max_facts,
+                elapsed_us: eval_us,
+            },
+            metrics: obs.metrics.snapshot(),
+        })
+    }
+}
+
+fn micros(since: Instant) -> u64 {
+    since.elapsed().as_micros() as u64
 }
 
 /// The publication point of [`SessionSnapshot`]s: one slot, swapped
@@ -1086,10 +1263,10 @@ impl SnapshotCell {
         self.latest.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Swaps in a new snapshot; readers pin whichever pointer they
-    /// already loaded.
-    fn publish(&self, snap: Arc<SessionSnapshot>) {
-        *self.latest.lock().unwrap_or_else(|e| e.into_inner()) = Some(snap);
+    /// Swaps in a new snapshot (or none); readers pin whichever pointer
+    /// they already loaded.
+    fn publish(&self, snap: Option<Arc<SessionSnapshot>>) {
+        *self.latest.lock().unwrap_or_else(|e| e.into_inner()) = snap;
     }
 }
 
@@ -1099,15 +1276,20 @@ impl SnapshotCell {
 /// Artefacts are built lazily, cached, and — this is the serving-workload
 /// design — *extended* rather than rebuilt when more program text is
 /// loaded. Each [`Session::load`] bumps the session **epoch**; every
-/// artifact records the epoch it is current for and, on first use after a
-/// load, catches up from the delta alone: the translator appends the new
-/// clauses' translation (falling back to a full re-translation only in
-/// the documented cases, see `Optimizer::extend_optimized`), the compiled
+/// artifact records the epoch it is current for and, at the next publish
+/// ([`Session::prepare`], or the first query after the write), catches
+/// up from the delta alone: the translator appends the new clauses'
+/// translation (falling back to a full re-translation only in the
+/// documented cases, see `Optimizer::extend_optimized`), the compiled
 /// program indexes the new clauses in place, the direct engine merges new
-/// ground facts into its clustered store, and saturated bottom-up models
-/// are resumed by seeding the fixpoint with the delta instead of starting
-/// from nothing. Ground answers are additionally memoized per
-/// `(epoch, strategy, query)` — see [`Session::cache_stats`].
+/// ground facts into its clustered store, and the saturated semi-naive
+/// model is resumed by seeding the fixpoint with the delta instead of
+/// starting from nothing.
+///
+/// Every query is answered by a published [`SessionSnapshot`]: the
+/// session publishes one when a write made the last one stale, and
+/// complete answers are memoized in that snapshot's cross-strategy cache
+/// until the next write — see [`Session::cache_stats`].
 #[derive(Default)]
 pub struct Session {
     options: SessionOptions,
@@ -1122,8 +1304,7 @@ pub struct Session {
     translated: Option<TranslatedArtifact>,
     compiled_fo: Option<CompiledArtifact>,
     direct: Option<DirectArtifact>,
-    models: HashMap<FixpointStrategy, ModelArtifact>,
-    answer_cache: HashMap<(u64, Strategy, String), Answers>,
+    model: Option<ModelArtifact>,
     cache_stats: CacheStats,
     /// Durable snapshot + WAL storage, when the session is persistent.
     durable: Option<DurableLog>,
@@ -1481,13 +1662,15 @@ impl Session {
     }
 
     /// Loads an already-built program (cumulative). Bumps the session
-    /// epoch; compiled artefacts catch up incrementally on next use.
+    /// epoch; compiled artefacts catch up incrementally at the next
+    /// publish.
     pub fn load_program(&mut self, mut p: Program) {
         let mut span = self
             .options
             .obs
             .tracer
             .span_with("session.load", vec![("clauses", p.clauses.len().into())]);
+        self.retire_unshared_snapshot();
         let skolems_before = self.skolem_counter;
         if self.options.auto_skolemize {
             let taken = self.program.signature().functions;
@@ -1502,9 +1685,6 @@ impl Session {
         self.program.subtype_decls.extend(p.subtype_decls);
         self.program.clauses.extend(p.clauses);
         self.epoch += 1;
-        // Prior-epoch answers can never be served again (the cache key
-        // includes the epoch), so drop them.
-        self.answer_cache.clear();
         let m = &self.options.obs.metrics;
         m.counter("session.loads").inc();
         m.gauge("session.epoch").set(self.epoch);
@@ -1529,14 +1709,14 @@ impl Session {
     /// rejected; a clause with no match fails the whole call with
     /// [`SessionError::NoSuchClause`] and retracts nothing.
     ///
-    /// Saturated bottom-up models are patched with a DRed
+    /// The saturated semi-naive model is patched with a DRed
     /// delete-rederive pass ([`folog::retract_facts`]) when the
     /// retraction only removes ground base facts at the first-order
     /// level; if the translated rule set itself changed (the optimizer's
-    /// global analyses may re-fire), or a model was budget-cut or lags
-    /// the translation, the affected models are dropped and recomputed
-    /// lazily instead. The direct engine's clustered store is
-    /// append-only, so it is always rebuilt lazily. In a persistent
+    /// global analyses may re-fire), or the model was budget-cut or lags
+    /// the translation, it is dropped and recomputed at the next publish
+    /// instead. The direct engine's clustered store is append-only, so
+    /// it is always rebuilt at the next publish. In a persistent
     /// session the retraction is appended to the write-ahead log (as a
     /// [`WalOp::Retract`](clogic_store::WalOp) record) before returning,
     /// under the same gap-healing contract as [`Session::load`].
@@ -1590,15 +1770,15 @@ impl Session {
         }
 
         // Snapshot the old artifacts for the incremental repair below.
+        self.retire_unshared_snapshot();
         let prev_translated = self.translated.take();
-        let prev_models = std::mem::take(&mut self.models);
+        let prev_model = self.model.take();
 
         doomed.sort_unstable();
         for &i in doomed.iter().rev() {
             self.program.clauses.remove(i);
         }
         self.epoch += 1;
-        self.answer_cache.clear();
         // The clustered store's indexes are append-only; rebuild lazily.
         self.direct = None;
 
@@ -1614,54 +1794,47 @@ impl Session {
         self.ensure_compiled();
 
         // Diff the first-order programs. When only ground unit facts
-        // disappeared (the common case), every complete saturated model
-        // is repaired by a DRed delete-rederive pass over exactly those
-        // facts instead of a fixpoint from scratch.
+        // disappeared (the common case), a complete saturated model is
+        // repaired by a DRed delete-rederive pass over exactly those
+        // facts instead of a fixpoint from scratch. The diff only
+        // describes a model of the old translation itself: one that lags
+        // it (the translation was brought up after the last publish) is
+        // dropped, not patched.
         let diff = prev_translated.as_ref().and_then(|t| {
             fo_unit_diff(&t.fo, &self.translated.as_ref().expect("ensured").fo)
         });
+        let old_epoch = prev_translated.as_ref().map_or(0, |t| t.epoch);
         let cp = Arc::clone(&self.compiled_fo.as_ref().expect("ensured").cp);
-        let rules = cp.rules.len();
-        let mut patched = 0u64;
-        let mut dropped = 0u64;
-        if let Some((removed, added)) = diff {
-            // The diff only describes a model of the old translation
-            // itself: one that lags it (the naive model after loads that
-            // were prepared for serving) is dropped, not patched.
-            let old_epoch = prev_translated.as_ref().map_or(0, |t| t.epoch);
-            for (fs, art) in prev_models {
-                if art.generation != old_gen || art.epoch != old_epoch || !art.ev.complete {
-                    dropped += 1;
-                    continue;
-                }
+        let (mut patched, mut dropped) = (0u64, 0u64);
+        match (prev_model, diff) {
+            (None, _) => {}
+            (Some(art), Some((removed, added)))
+                if art.generation == old_gen && art.epoch == old_epoch && art.ev.complete =>
+            {
                 let opts = FixpointOptions {
-                    strategy: fs,
+                    strategy: FixpointStrategy::SemiNaive,
                     obs: self.options.obs.clone(),
                     ..self.options.fixpoint.clone()
                 };
                 // COW: reclaim the saturated store when this session
-                // holds the only reference; clone only while a published
-                // snapshot still pins the pre-retraction model (which
+                // holds the only reference; clone only while a pinned
+                // snapshot still holds the pre-retraction model (which
                 // keeps serving its own epoch untorn).
                 let seed = Arc::try_unwrap(art.ev).unwrap_or_else(|a| (*a).clone());
                 match folog::retract_facts(cp.as_ref(), seed, &removed, &added, opts) {
                     Ok((ev, _stats)) => {
-                        self.models.insert(
-                            fs,
-                            ModelArtifact {
-                                epoch: self.epoch,
-                                generation: new_gen,
-                                rules,
-                                ev: Arc::new(ev),
-                            },
-                        );
-                        patched += 1;
+                        self.model = Some(ModelArtifact {
+                            epoch: self.epoch,
+                            generation: new_gen,
+                            rules: cp.rules.len(),
+                            ev: Arc::new(ev),
+                        });
+                        patched = 1;
                     }
-                    Err(_) => dropped += 1,
+                    Err(_) => dropped = 1,
                 }
             }
-        } else {
-            dropped += prev_models.len() as u64;
+            (Some(_), _) => dropped = 1,
         }
 
         let m = &self.options.obs.metrics;
@@ -1698,7 +1871,9 @@ impl Session {
         self.epoch
     }
 
-    /// Answer-cache hit/miss counters (cumulative over the session).
+    /// Hit/miss counters of [`Session::query`] against the snapshots'
+    /// answer cache (cumulative over the session). A query that returns
+    /// an error counts as neither.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache_stats
     }
@@ -1715,23 +1890,19 @@ impl Session {
         self.options.obs.metrics.snapshot()
     }
 
-    /// Fixpoint statistics of the session's cached bottom-up model for a
-    /// strategy, if one has been computed. A model resumed across epochs
+    /// Fixpoint statistics of the session's saturated semi-naive model,
+    /// once a publish has computed it. A model resumed across epochs
     /// keeps accumulating into the same counters.
     ///
-    /// [`Session::prepare`] keeps only the semi-naive model current. The
-    /// naive one exists once an exclusive-path naive query
-    /// ([`Session::query`], [`Session::explain`]) has built it, and its
-    /// counters then lag any later epoch until the next such query. The
-    /// naive model a [`SessionSnapshot`] saturates for its own naive
-    /// queries is not reported here.
+    /// The session holds no other model: `None` for every other
+    /// strategy, [`Strategy::BottomUpNaive`] included — each
+    /// [`SessionSnapshot`] saturates its own naive model on its first
+    /// naive query.
     pub fn model_stats(&self, strategy: Strategy) -> Option<&FixpointStats> {
-        let fs = match strategy {
-            Strategy::BottomUpNaive => FixpointStrategy::Naive,
-            Strategy::BottomUpSemiNaive => FixpointStrategy::SemiNaive,
-            _ => return None,
-        };
-        self.models.get(&fs).map(|m| &m.ev.stats)
+        match strategy {
+            Strategy::BottomUpSemiNaive => self.model.as_ref().map(|m| &m.ev.stats),
+            _ => None,
+        }
     }
 
     /// Brings the translated program up to the current epoch.
@@ -1965,35 +2136,28 @@ impl Session {
         }
     }
 
-    /// The saturated bottom-up model for a fixpoint strategy, current for
-    /// this epoch. A cached *complete* model from an earlier epoch of the
-    /// same translation generation is resumed — the fixpoint is seeded
-    /// with the delta and run forward over the already-saturated store —
-    /// instead of recomputed. Incomplete (budget-cut) models are served
-    /// for the epoch they were computed in but never resumed.
-    fn ensure_model(
-        &mut self,
-        fs: FixpointStrategy,
-        opts: FixpointOptions,
-    ) -> Result<ModelProvenance, EvalError> {
-        self.ensure_compiled();
+    /// The saturated semi-naive model, current for this epoch. A cached
+    /// *complete* model from an earlier epoch of the same translation
+    /// generation is resumed — the fixpoint is seeded with the delta and
+    /// run forward over the already-saturated store — instead of
+    /// recomputed. Incomplete (budget-cut) models are served for the
+    /// epoch they were computed in but never resumed.
+    fn ensure_model(&mut self, opts: FixpointOptions) -> Result<ModelProvenance, EvalError> {
         let gen = self.translated.as_ref().expect("ensured").generation;
         let cp = &self.compiled_fo.as_ref().expect("ensured").cp;
         let rules = cp.rules.len();
         if self
-            .models
-            .get(&fs)
+            .model
+            .as_ref()
             .is_some_and(|m| m.epoch == self.epoch && m.generation == gen && m.rules == rules)
         {
             return Ok(ModelProvenance::Reused);
         }
-        let prev = self.models.remove(&fs);
-        let cp = &self.compiled_fo.as_ref().expect("ensured").cp;
-        let (ev, provenance) = match prev {
+        let (ev, provenance) = match self.model.take() {
             Some(m) if m.generation == gen && m.rules <= rules && m.ev.complete => {
                 // COW resumption: reclaim the store when this session
-                // holds the only reference; clone only while a published
-                // snapshot still pins the old model.
+                // holds the only reference; clone only while a pinned
+                // snapshot still holds the old model.
                 let seed = Arc::try_unwrap(m.ev).unwrap_or_else(|a| (*a).clone());
                 (
                     folog::evaluate_delta(cp.as_ref(), seed, m.rules, opts)?,
@@ -2005,22 +2169,13 @@ impl Session {
                 ModelProvenance::Computed,
             ),
         };
-        self.models.insert(
-            fs,
-            ModelArtifact {
-                epoch: self.epoch,
-                generation: gen,
-                rules,
-                ev: Arc::new(ev),
-            },
-        );
+        self.model = Some(ModelArtifact {
+            epoch: self.epoch,
+            generation: gen,
+            rules,
+            ev: Arc::new(ev),
+        });
         Ok(provenance)
-    }
-
-    /// Translates a query for the first-order strategies (positive goals
-    /// only; see [`Session::query_ast`] for negation handling).
-    pub fn translate_query(&self, q: &Query) -> Vec<FoAtom> {
-        Transformer::new().query(q)
     }
 
     /// Parses and answers a query with the given strategy.
@@ -2029,228 +2184,24 @@ impl Session {
         self.query_ast(&q, strategy)
     }
 
-    /// The effective budget for one engine invocation: the engine's own
-    /// budget tightened by the session-wide budget, then bounded by the
-    /// termination guard's defaults when the translated program shows
-    /// skolem-function recursion (infinite least model).
-    fn effective_budget(&mut self, engine_budget: &Budget) -> Budget {
-        let mut b = engine_budget.merged(&self.options.budget);
-        self.ensure_translated();
-        if self.options.termination_guard && self.translated.as_ref().expect("ensured").may_diverge
-        {
-            if b.deadline.is_none() {
-                b.deadline = Some(GUARD_DEADLINE);
-            }
-            if b.max_facts.is_none() {
-                b.max_facts = Some(GUARD_MAX_FACTS);
-            }
-        }
-        b
-    }
-
-    /// Answers an already-parsed query.
-    ///
-    /// Answers are memoized per `(epoch, strategy, canonicalized query)`;
-    /// only complete answer sets enter the cache (a budget-cut partial
-    /// result is recomputed on the next ask, which may have more budget
-    /// left). Loading more program text bumps the epoch and thereby
-    /// invalidates every cached answer.
+    /// Answers an already-parsed query: publishes a snapshot first if a
+    /// write made the last one stale, then answers through
+    /// [`SessionSnapshot::query_cached`] on it — so a repeat hits under
+    /// any strategy until the next write, while budget-cut answers are
+    /// recomputed. Hits and misses are counted in [`Session::cache_stats`]
+    /// and `session.cache.hits`/`session.cache.misses`.
     pub fn query_ast(&mut self, q: &Query, strategy: Strategy) -> Result<Answers, SessionError> {
-        let key = (self.epoch, strategy, q.to_string());
-        if let Some(hit) = self.answer_cache.get(&key) {
+        let (snap, _) = self.fresh_snapshot();
+        let (answers, hit) = snap.query_ast_cached(q, strategy, &Budget::unlimited())?;
+        let name = if hit {
             self.cache_stats.hits += 1;
-            self.options.obs.metrics.counter("session.cache.hits").inc();
-            return Ok(hit.clone());
-        }
-        self.cache_stats.misses += 1;
-        self.options
-            .obs
-            .metrics
-            .counter("session.cache.misses")
-            .inc();
-        let answers = self.answer_uncached(q, strategy)?;
-        if answers.complete {
-            self.answer_cache.insert(key, answers.clone());
-        }
+            "session.cache.hits"
+        } else {
+            self.cache_stats.misses += 1;
+            "session.cache.misses"
+        };
+        self.options.obs.metrics.counter(name).inc();
         Ok(answers)
-    }
-
-    fn answer_uncached(&mut self, q: &Query, strategy: Strategy) -> Result<Answers, SessionError> {
-        match strategy {
-            Strategy::Direct => {
-                let mut opts = self.options.direct.clone();
-                opts.budget = self.effective_budget(&opts.budget);
-                opts.obs = self.options.obs.clone();
-                self.ensure_direct();
-                let dp = &self.direct.as_ref().expect("ensured").dp;
-                let r = DirectEngine::new(dp, opts).solve(q)?;
-                Ok(Answers {
-                    rows: r
-                        .answers
-                        .into_iter()
-                        .map(|bindings| AnswerRow { bindings })
-                        .collect(),
-                    complete: r.complete,
-                    degradation: r.degradation,
-                })
-            }
-            Strategy::Sld => {
-                let tr = Transformer::new();
-                let mut aux = Vec::new();
-                let mut counter = 0;
-                let (goals, neg_goals) = tr.query_parts(q, &mut aux, &mut counter);
-                let mut opts = self.options.sld.clone();
-                opts.budget = self.effective_budget(&opts.budget);
-                opts.obs = self.options.obs.clone();
-                self.ensure_compiled();
-                let art = self.compiled_fo.as_ref().expect("ensured");
-                let r = if aux.is_empty() {
-                    SldEngine::new(art.cp.as_ref(), opts).solve_with_negation(&goals, &neg_goals)?
-                } else {
-                    // Conjunction-shaped negated goals need their
-                    // auxiliary clauses in the program: a COW overlay
-                    // view extends the shared artifact without cloning
-                    // or mutating it.
-                    let mut view = ClauseOverlay::new(art.cp.as_ref());
-                    for c in &aux {
-                        view.push_clause(c);
-                    }
-                    SldEngine::new(&view, opts).solve_with_negation(&goals, &neg_goals)?
-                };
-                Ok(Answers {
-                    rows: r
-                        .answers
-                        .into_iter()
-                        .map(|bindings| AnswerRow { bindings })
-                        .collect(),
-                    complete: r.complete,
-                    degradation: r.degradation,
-                })
-            }
-            Strategy::BottomUpNaive | Strategy::BottomUpSemiNaive => {
-                let tr = Transformer::new();
-                let mut aux = Vec::new();
-                let mut counter = 0;
-                let (goals, neg_goals) = tr.query_parts(q, &mut aux, &mut counter);
-                let fs = if strategy == Strategy::BottomUpNaive {
-                    FixpointStrategy::Naive
-                } else {
-                    FixpointStrategy::SemiNaive
-                };
-                let mut opts = FixpointOptions {
-                    strategy: fs,
-                    ..self.options.fixpoint.clone()
-                };
-                opts.budget = self.effective_budget(&opts.budget);
-                opts.obs = self.options.obs.clone();
-                self.ensure_model(fs, opts.clone())?;
-                if aux.is_empty() {
-                    let ev = &self.models.get(&fs).expect("ensured").ev;
-                    Ok(Answers {
-                        rows: ev
-                            .query_with_negation(&goals, &neg_goals)?
-                            .into_iter()
-                            .map(|bindings| AnswerRow {
-                                bindings: bindings.into_iter().collect(),
-                            })
-                            .collect(),
-                        complete: ev.complete,
-                        degradation: ev.degradation.clone(),
-                    })
-                } else if self.models.get(&fs).expect("ensured").ev.complete {
-                    // The auxiliary clauses for conjunction-shaped
-                    // negated goals derive query-local `__naux…` facts
-                    // that must not persist in the cached model. Against
-                    // a *complete* model they are checked lazily per
-                    // candidate answer — no model clone, no fixpoint
-                    // resumption.
-                    let ev = &self.models.get(&fs).expect("ensured").ev;
-                    Ok(Answers {
-                        rows: ev
-                            .query_with_negation_aux(&goals, &neg_goals, &aux)?
-                            .into_iter()
-                            .map(|bindings| AnswerRow {
-                                bindings: bindings.into_iter().collect(),
-                            })
-                            .collect(),
-                        complete: ev.complete,
-                        degradation: ev.degradation.clone(),
-                    })
-                } else {
-                    // A budget-cut model cannot be resumed; re-evaluate
-                    // over a COW overlay carrying the aux clauses — the
-                    // shared compiled program stays untouched.
-                    let art = self.compiled_fo.as_ref().expect("ensured");
-                    let mut view = ClauseOverlay::new(art.cp.as_ref());
-                    for c in &aux {
-                        view.push_clause(c);
-                    }
-                    let ev = folog::evaluate(&view, opts)?;
-                    Ok(Answers {
-                        rows: ev
-                            .query_with_negation(&goals, &neg_goals)?
-                            .into_iter()
-                            .map(|bindings| AnswerRow {
-                                bindings: bindings.into_iter().collect(),
-                            })
-                            .collect(),
-                        complete: ev.complete,
-                        degradation: ev.degradation,
-                    })
-                }
-            }
-            Strategy::Tabled => {
-                if q.has_negation() {
-                    return Err(SessionError::Unsupported(
-                        "tabled evaluation does not support negation".into(),
-                    ));
-                }
-                let goals = self.translate_query(q);
-                let mut opts = self.options.tabling.clone();
-                opts.budget = self.effective_budget(&opts.budget);
-                opts.obs = self.options.obs.clone();
-                self.ensure_compiled();
-                let cp = &self.compiled_fo.as_ref().expect("ensured").cp;
-                let r = TabledEngine::new(cp.as_ref(), opts).solve(&goals)?;
-                Ok(Answers {
-                    rows: r
-                        .answers
-                        .into_iter()
-                        .map(|bindings| AnswerRow { bindings })
-                        .collect(),
-                    complete: r.complete,
-                    degradation: r.degradation,
-                })
-            }
-            Strategy::Magic => {
-                if q.has_negation() {
-                    return Err(SessionError::Unsupported(
-                        "magic sets do not support negation".into(),
-                    ));
-                }
-                let goals = self.translate_query(q);
-                let mut opts = self.options.fixpoint.clone();
-                opts.budget = self.effective_budget(&opts.budget);
-                opts.obs = self.options.obs.clone();
-                // The magic rewrite is query-specific, so there is no
-                // model to reuse — but the translated program itself is
-                // borrowed, not cloned.
-                self.ensure_translated();
-                let fo = &self.translated.as_ref().expect("ensured").fo;
-                let builtins = builtin_symbols().collect();
-                let (answers, ev) = solve_magic(fo, &goals, &builtins, opts)?;
-                Ok(Answers {
-                    rows: answers
-                        .into_iter()
-                        .map(|bindings| AnswerRow {
-                            bindings: bindings.into_iter().collect(),
-                        })
-                        .collect(),
-                    complete: ev.complete,
-                    degradation: ev.degradation,
-                })
-            }
-        }
     }
 
     /// Whether the durable storage's circuit breaker is open (persistence
@@ -2264,50 +2215,63 @@ impl Session {
     /// translation, the compiled first-order program, the direct
     /// engine's program and the saturated semi-naive model — and
     /// publishes them as a [`SessionSnapshot`]. After `prepare` returns,
-    /// any query without conjunction-shaped negation can be answered
-    /// through the shared (`&self`) path [`Session::query_shared`] with
-    /// no further artifact work, except that the first
+    /// any query can be answered through the published snapshot with no
+    /// further artifact work, except that the first
     /// [`Strategy::BottomUpNaive`] query against the snapshot saturates
     /// the naive model from scratch. This is the writer's half of the
     /// writer/reader discipline the `clogic-serve` crate builds on: loads
     /// (and this call) serialize behind exclusive access, queries then
     /// fan out over the epoch-stamped artifacts from as many threads as
-    /// the caller likes.
+    /// the caller likes. [`Session::query`] calls it itself when a write
+    /// made the last snapshot stale.
     ///
     /// Model saturation runs under the session budget (plus termination
-    /// guard); a budget-cut model is kept and served — shared queries
-    /// over it return partial answers with the usual [`Degradation`]
-    /// report, exactly like the exclusive path. A model that cannot be
-    /// built at all (an unstratifiable program) is published as its
-    /// error, which bottom-up queries against the snapshot return; the
-    /// call itself still succeeds, so a write that the log has already
-    /// accepted is never left unpublished.
+    /// guard); a budget-cut model is kept and served — queries over it
+    /// return partial answers with the usual [`Degradation`] report. A
+    /// model that cannot be built at all (an unstratifiable program) is
+    /// published as its error, which bottom-up queries against the
+    /// snapshot return; the call itself always succeeds, so a write that
+    /// the log has already accepted is never left unpublished.
     pub fn prepare(&mut self) -> Result<(), SessionError> {
-        self.ensure_translated();
-        self.ensure_compiled();
-        self.ensure_direct();
-        let fs = FixpointStrategy::SemiNaive;
-        let mut opts = FixpointOptions {
-            strategy: fs,
-            ..self.options.fixpoint.clone()
-        };
-        opts.budget = self.effective_budget(&opts.budget);
-        opts.obs = self.options.obs.clone();
-        let semi = self
-            .ensure_model(fs, opts)
-            .map(|_| Arc::clone(&self.models.get(&fs).expect("ensured").ev));
-        self.publish_snapshot(semi);
+        self.publish();
         Ok(())
     }
 
-    /// Bundles the (just-prepared) artifacts into a [`SessionSnapshot`]
-    /// and publishes it — one pointer swap — into the session's
-    /// [`SnapshotCell`]. Readers that loaded an earlier snapshot keep it
-    /// pinned; nothing they hold is mutated or freed.
-    fn publish_snapshot(&mut self, semi: Result<Arc<Evaluation>, EvalError>) {
-        let t = self.translated.as_ref().expect("prepared");
-        let c = self.compiled_fo.as_ref().expect("prepared");
-        let d = self.direct.as_ref().expect("prepared");
+    /// The snapshot of the current epoch, publishing one first (and
+    /// returning its steps) when a write made the last one stale.
+    fn fresh_snapshot(&mut self) -> (Arc<SessionSnapshot>, Vec<PublishStep>) {
+        match self.snapshots.load() {
+            Some(snap) if snap.epoch == self.epoch => (snap, Vec::new()),
+            _ => self.publish(),
+        }
+    }
+
+    /// [`Session::prepare`]'s work: brings every artifact up to date,
+    /// timing each step, and publishes them — one pointer swap — into the
+    /// session's [`SnapshotCell`]. Readers that loaded an earlier
+    /// snapshot keep it pinned; nothing they hold is mutated or freed.
+    fn publish(&mut self) -> (Arc<SessionSnapshot>, Vec<PublishStep>) {
+        let mut steps = Vec::with_capacity(4);
+        let mut step = |artifact, phase, provenance: &dyn fmt::Display, t: Instant| {
+            steps.push((artifact, phase, provenance.to_string(), micros(t)));
+        };
+        let t = Instant::now();
+        step("translation", "translate", &self.ensure_translated(), t);
+        let t = Instant::now();
+        step("compiled", "compile", &self.ensure_compiled(), t);
+        let t = Instant::now();
+        step("direct", "compile", &self.ensure_direct(), t);
+
+        let may_diverge = self.translated.as_ref().expect("ensured").may_diverge;
+        let (fs, o) = (FixpointStrategy::SemiNaive, &self.options);
+        let opts = o.fixpoint_for(fs, may_diverge, &Budget::unlimited(), &o.obs);
+        let t = Instant::now();
+        let semi = self.ensure_model(opts);
+        if let Ok(provenance) = &semi {
+            step("model", "model", provenance, t);
+        }
+
+        let t = self.translated.as_ref().expect("ensured");
         let snap = Arc::new(SessionSnapshot {
             epoch: self.epoch,
             generation: t.generation,
@@ -2316,9 +2280,9 @@ impl Session {
             skolem: self.skolem_state(),
             options: self.options.clone(),
             fo: Arc::clone(&t.fo),
-            cp: Arc::clone(&c.cp),
-            dp: Arc::clone(&d.dp),
-            semi,
+            cp: Arc::clone(&self.compiled_fo.as_ref().expect("ensured").cp),
+            dp: Arc::clone(&self.direct.as_ref().expect("ensured").dp),
+            semi: semi.map(|_| Arc::clone(&self.model.as_ref().expect("ensured").ev)),
             naive: OnceLock::new(),
             answers: Mutex::new(HashMap::new()),
         });
@@ -2327,7 +2291,18 @@ impl Session {
             .metrics
             .gauge("sessions.snapshot_epoch")
             .set(self.epoch);
-        self.snapshots.publish(snap);
+        self.snapshots.publish(Some(Arc::clone(&snap)));
+        (snap, steps)
+    }
+
+    /// Drops the published snapshot before a write when no serving layer
+    /// shares the cell, so that it does not pin this session's own
+    /// artifacts and make the next publish clone each of them. A snapshot
+    /// pinned through [`Session::current_snapshot`] keeps its epoch.
+    fn retire_unshared_snapshot(&mut self) {
+        if Arc::strong_count(&self.snapshots) == 1 {
+            self.snapshots.publish(None);
+        }
     }
 
     /// The session's snapshot publication cell. A serving layer clones
@@ -2338,65 +2313,22 @@ impl Session {
         Arc::clone(&self.snapshots)
     }
 
-    /// The most recently published snapshot, if [`Session::prepare`] has
-    /// succeeded at least once.
+    /// The most recently published snapshot, if any. On a session whose
+    /// cell no serving layer shares ([`Session::snapshot_cell`]), a write
+    /// drops the published snapshot, so this returns `None` from then
+    /// until the next query, [`Session::explain`] or [`Session::prepare`].
     pub fn current_snapshot(&self) -> Option<Arc<SessionSnapshot>> {
         self.snapshots.load()
     }
 
-    /// Parses and answers a query through the **shared-access** (`&self`)
-    /// path: see [`Session::query_shared_ast`].
-    pub fn query_shared(
-        &self,
-        src: &str,
-        strategy: Strategy,
-        extra: &Budget,
-    ) -> Result<Answers, SessionError> {
-        let q = parse_query(src)?;
-        self.query_shared_ast(&q, strategy, extra)
-    }
-
-    /// Answers an already-parsed query **without mutating the session**,
-    /// by delegating to the [`SessionSnapshot`] published by the last
-    /// [`Session::prepare`]. Many threads may call this concurrently on
-    /// `&Session` references (the type is `Sync`); answers are identical
-    /// to [`Session::query_ast`] modulo the answer cache, which this
-    /// path neither consults nor fills (a serving layer caches at its
-    /// own tier — see [`SessionSnapshot::query_cached`]).
-    ///
-    /// `extra` is merged (tighter ceiling wins) into the effective
-    /// budget — the seam through which a server threads per-request
-    /// deadlines and cancellation into the engines.
-    ///
-    /// Returns [`SessionError::NotPrepared`] when no snapshot has been
-    /// published **for the current epoch** — i.e. a load happened after
-    /// the last `prepare`. A serving layer that would rather keep
-    /// answering from the previous epoch while a load is in flight reads
-    /// the [`SnapshotCell`] directly instead of going through here.
-    pub fn query_shared_ast(
-        &self,
-        q: &Query,
-        strategy: Strategy,
-        extra: &Budget,
-    ) -> Result<Answers, SessionError> {
-        let snap = self
-            .snapshots
-            .load()
-            .filter(|s| s.epoch == self.epoch)
-            .ok_or(SessionError::NotPrepared("session snapshot"))?;
-        snap.query_ast(q, strategy, extra)
-    }
-
-    /// Profiles one query under one strategy: per-phase wall time,
-    /// artifact provenance, per-rule tuple counts, governor budget
-    /// consumption, and the engine metrics of exactly this evaluation.
-    ///
-    /// The query is **evaluated for real** with a fresh metrics registry
-    /// attached; the session's answer cache is bypassed (but
-    /// [`QueryProfile::cache_would_hit`] reports whether a plain
-    /// [`Session::query`] would have been served from it), and the result
-    /// is *not* inserted into the cache — profiling leaves the session's
-    /// caching behavior unchanged.
+    /// Profiles one query under one strategy: publishes a snapshot first
+    /// if a write made the last one stale, then runs
+    /// [`SessionSnapshot::explain`] on it, which evaluates the query for
+    /// real and leaves the answer cache untouched. When this call had to
+    /// publish, the notes of the artifacts the strategy reads, and the
+    /// `translate`, `compile` or `model` phase each belongs to, report
+    /// the steps that publish ran for them (their engine counters land in
+    /// the session's registry, not the profile's).
     ///
     /// ```
     /// use clogic::session::{Session, Strategy};
@@ -2412,312 +2344,29 @@ impl Session {
     /// println!("{}", profile.render_text()); // the REPL's `:explain`
     /// ```
     pub fn explain(&mut self, src: &str, strategy: Strategy) -> Result<QueryProfile, SessionError> {
-        let t0 = Instant::now();
-        let q = parse_query(src)?;
-        let parse_us = t0.elapsed().as_micros() as u64;
-        let cache_would_hit = self
-            .answer_cache
-            .contains_key(&(self.epoch, strategy, q.to_string()));
-
-        // A fresh registry so the profile's metrics cover exactly this
-        // evaluation; the session's own registry is untouched by it.
-        let obs = Obs::new();
-        let mut phases = vec![PhaseTiming {
-            name: "parse",
-            micros: parse_us,
-        }];
-        let mut artifacts = Vec::new();
-
-        // Every strategy consults the translation (the direct engine only
-        // for the termination-guard analysis), so time it as its own
-        // phase.
-        let t = Instant::now();
-        let translated = self.ensure_translated();
-        phases.push(PhaseTiming {
-            name: "translate",
-            micros: t.elapsed().as_micros() as u64,
-        });
-        artifacts.push(ArtifactNote {
-            artifact: "translation",
-            provenance: translated.to_string(),
-        });
-
-        let rules;
-        let answers;
-        let complete;
-        let degradation;
-        let eff_budget;
-        let guard_injected;
-        let eval_us;
-
-        match strategy {
-            Strategy::Direct => {
-                let mut opts = self.options.direct.clone();
-                let base = opts.budget.merged(&self.options.budget);
-                opts.budget = self.effective_budget(&opts.budget);
-                guard_injected = opts.budget.deadline != base.deadline
-                    || opts.budget.max_facts != base.max_facts;
-                eff_budget = opts.budget.clone();
-                opts.obs = obs.clone();
-                let t = Instant::now();
-                let prov = self.ensure_direct();
-                phases.push(PhaseTiming {
-                    name: "compile",
-                    micros: t.elapsed().as_micros() as u64,
-                });
-                artifacts.push(ArtifactNote {
-                    artifact: "direct",
-                    provenance: prov.to_string(),
-                });
-                let t = Instant::now();
-                let dp = &self.direct.as_ref().expect("ensured").dp;
-                let r = DirectEngine::new(dp, opts).solve(&q)?;
-                eval_us = t.elapsed().as_micros() as u64;
-                rules = rule_tuples(&r.per_rule, |i| {
-                    self.program
-                        .clauses
-                        .get(i)
-                        .map_or_else(|| format!("clause #{i}"), |c| c.to_string())
-                });
-                answers = r.answers.len();
-                complete = r.complete;
-                degradation = r.degradation;
-            }
-            Strategy::Sld => {
-                let tr = Transformer::new();
-                let mut aux = Vec::new();
-                let mut counter = 0;
-                let (goals, neg_goals) = tr.query_parts(&q, &mut aux, &mut counter);
-                let mut opts = self.options.sld.clone();
-                let base = opts.budget.merged(&self.options.budget);
-                opts.budget = self.effective_budget(&opts.budget);
-                guard_injected = opts.budget.deadline != base.deadline
-                    || opts.budget.max_facts != base.max_facts;
-                eff_budget = opts.budget.clone();
-                opts.obs = obs.clone();
-                let t = Instant::now();
-                let prov = self.ensure_compiled();
-                phases.push(PhaseTiming {
-                    name: "compile",
-                    micros: t.elapsed().as_micros() as u64,
-                });
-                artifacts.push(ArtifactNote {
-                    artifact: "compiled",
-                    provenance: prov.to_string(),
-                });
-                let t = Instant::now();
-                let art = self.compiled_fo.as_ref().expect("ensured");
-                let mut view = ClauseOverlay::new(art.cp.as_ref());
-                for c in &aux {
-                    view.push_clause(c);
-                }
-                let labels: Vec<String> =
-                    (0..view.len()).map(|i| view.rule(i).to_string()).collect();
-                let r = SldEngine::new(&view, opts).solve_with_negation(&goals, &neg_goals)?;
-                eval_us = t.elapsed().as_micros() as u64;
-                rules = rule_tuples(&r.per_rule, |i| {
-                    labels
-                        .get(i)
-                        .cloned()
-                        .unwrap_or_else(|| format!("rule #{i}"))
-                });
-                answers = r.answers.len();
-                complete = r.complete;
-                degradation = r.degradation;
-            }
-            Strategy::BottomUpNaive | Strategy::BottomUpSemiNaive => {
-                let tr = Transformer::new();
-                let mut aux = Vec::new();
-                let mut counter = 0;
-                let (goals, neg_goals) = tr.query_parts(&q, &mut aux, &mut counter);
-                let fs = if strategy == Strategy::BottomUpNaive {
-                    FixpointStrategy::Naive
-                } else {
-                    FixpointStrategy::SemiNaive
-                };
-                let mut opts = FixpointOptions {
-                    strategy: fs,
-                    ..self.options.fixpoint.clone()
-                };
-                let base = opts.budget.merged(&self.options.budget);
-                opts.budget = self.effective_budget(&opts.budget);
-                guard_injected = opts.budget.deadline != base.deadline
-                    || opts.budget.max_facts != base.max_facts;
-                eff_budget = opts.budget.clone();
-                opts.obs = obs.clone();
-                let t = Instant::now();
-                self.ensure_compiled();
-                let prov = self.ensure_model(fs, opts.clone())?;
-                phases.push(PhaseTiming {
-                    name: "model",
-                    micros: t.elapsed().as_micros() as u64,
-                });
-                artifacts.push(ArtifactNote {
-                    artifact: "model",
-                    provenance: prov.to_string(),
-                });
-                let t = Instant::now();
-                if aux.is_empty() {
-                    let labels: Vec<String> = self
-                        .compiled_fo
-                        .as_ref()
-                        .expect("ensured")
-                        .cp
-                        .rules
-                        .iter()
-                        .map(|r| r.to_string())
-                        .collect();
-                    let ev = &self.models.get(&fs).expect("ensured").ev;
-                    let rows = ev.query_with_negation(&goals, &neg_goals)?;
-                    eval_us = t.elapsed().as_micros() as u64;
-                    rules = rule_tuples(&ev.stats.per_rule, |i| {
-                        labels
-                            .get(i)
-                            .cloned()
-                            .unwrap_or_else(|| format!("rule #{i}"))
-                    });
-                    answers = rows.len();
-                    complete = ev.complete;
-                    degradation = ev.degradation.clone();
-                } else {
-                    // Aux clauses for conjunction-shaped negated goals
-                    // must not contaminate the cached model, so they ride
-                    // a COW overlay. Unlike the plain query path (which
-                    // checks them lazily), the profile wants honest
-                    // per-rule counts, so the saturated model is cloned
-                    // and resumed over the overlay for real.
-                    let prev = self.models.get(&fs).expect("ensured");
-                    let art = self.compiled_fo.as_ref().expect("ensured");
-                    let base_rules = art.cp.rules.len();
-                    let mut view = ClauseOverlay::new(art.cp.as_ref());
-                    for c in &aux {
-                        view.push_clause(c);
-                    }
-                    let labels: Vec<String> =
-                        (0..view.len()).map(|i| view.rule(i).to_string()).collect();
-                    let ev = if prev.ev.complete {
-                        folog::evaluate_delta(&view, (*prev.ev).clone(), base_rules, opts)?
-                    } else {
-                        folog::evaluate(&view, opts)?
-                    };
-                    let rows = ev.query_with_negation(&goals, &neg_goals)?;
-                    eval_us = t.elapsed().as_micros() as u64;
-                    rules = rule_tuples(&ev.stats.per_rule, |i| {
-                        labels
-                            .get(i)
-                            .cloned()
-                            .unwrap_or_else(|| format!("rule #{i}"))
-                    });
-                    answers = rows.len();
-                    complete = ev.complete;
-                    degradation = ev.degradation;
-                }
-            }
-            Strategy::Tabled => {
-                if q.has_negation() {
-                    return Err(SessionError::Unsupported(
-                        "tabled evaluation does not support negation".into(),
-                    ));
-                }
-                let goals = self.translate_query(&q);
-                let mut opts = self.options.tabling.clone();
-                let base = opts.budget.merged(&self.options.budget);
-                opts.budget = self.effective_budget(&opts.budget);
-                guard_injected = opts.budget.deadline != base.deadline
-                    || opts.budget.max_facts != base.max_facts;
-                eff_budget = opts.budget.clone();
-                opts.obs = obs.clone();
-                let t = Instant::now();
-                let prov = self.ensure_compiled();
-                phases.push(PhaseTiming {
-                    name: "compile",
-                    micros: t.elapsed().as_micros() as u64,
-                });
-                artifacts.push(ArtifactNote {
-                    artifact: "compiled",
-                    provenance: prov.to_string(),
-                });
-                let t = Instant::now();
-                let cp = &self.compiled_fo.as_ref().expect("ensured").cp;
-                let r = TabledEngine::new(cp.as_ref(), opts).solve(&goals)?;
-                eval_us = t.elapsed().as_micros() as u64;
-                let program_rules = cp.rules.len();
-                let labels: Vec<String> = cp.rules.iter().map(|r| r.to_string()).collect();
-                rules = rule_tuples(&r.per_rule, |i| {
-                    if i == program_rules {
-                        "__query (goal wrapper)".to_string()
-                    } else {
-                        labels
-                            .get(i)
-                            .cloned()
-                            .unwrap_or_else(|| format!("rule #{i}"))
-                    }
-                });
-                answers = r.answers.len();
-                complete = r.complete;
-                degradation = r.degradation;
-            }
-            Strategy::Magic => {
-                if q.has_negation() {
-                    return Err(SessionError::Unsupported(
-                        "magic sets do not support negation".into(),
-                    ));
-                }
-                let goals = self.translate_query(&q);
-                let mut opts = self.options.fixpoint.clone();
-                let base = opts.budget.merged(&self.options.budget);
-                opts.budget = self.effective_budget(&opts.budget);
-                guard_injected = opts.budget.deadline != base.deadline
-                    || opts.budget.max_facts != base.max_facts;
-                eff_budget = opts.budget.clone();
-                opts.obs = obs.clone();
-                let t = Instant::now();
-                let fo = &self.translated.as_ref().expect("ensured").fo;
-                let builtins = builtin_symbols().collect();
-                let (rows, ev, labels) = solve_magic_labeled(fo, &goals, &builtins, opts)?;
-                eval_us = t.elapsed().as_micros() as u64;
-                rules = rule_tuples(&ev.stats.per_rule, |i| {
-                    labels
-                        .get(i)
-                        .cloned()
-                        .unwrap_or_else(|| format!("rule #{i}"))
-                });
-                answers = rows.len();
-                complete = ev.complete;
-                degradation = ev.degradation;
+        let (snap, steps) = self.fresh_snapshot();
+        let mut profile = snap.explain(src, strategy, &Budget::unlimited())?;
+        let evaluate = profile.phases.pop();
+        for (artifact, name, provenance, micros) in steps {
+            let notes = &mut profile.artifacts;
+            let Some(note) = notes.iter_mut().find(|a| a.artifact == artifact) else {
+                continue; // built for other strategies
+            };
+            note.provenance = provenance;
+            match profile.phases.iter_mut().find(|p| p.name == name) {
+                Some(p) => p.micros += micros,
+                None => profile.phases.push(PhaseTiming { name, micros }),
             }
         }
-
-        phases.push(PhaseTiming {
-            name: "evaluate",
-            micros: eval_us,
-        });
-        Ok(QueryProfile {
-            query: q.to_string(),
-            strategy,
-            epoch: self.epoch,
-            cache_would_hit,
-            phases,
-            artifacts,
-            rules,
-            answers,
-            complete,
-            degradation,
-            budget: BudgetUse {
-                deadline_ms: eff_budget.deadline.map(|d| d.as_millis() as u64),
-                max_steps: eff_budget.max_steps,
-                max_facts: eff_budget.max_facts.map(|v| v as u64),
-                max_memory_bytes: eff_budget.max_memory_bytes.map(|v| v as u64),
-                guard_injected,
-                elapsed_us: eval_us,
-            },
-            metrics: obs.metrics.snapshot(),
-        })
+        profile.phases.extend(evaluate);
+        Ok(profile)
     }
 }
 
-/// Zips per-rule tuple counts with rendered rule labels, dropping
-/// zero-count rules.
+/// One step of a publish: the artifact it brought up to date, the
+/// profile phase its wall time (µs) belongs to, and how it did.
+type PublishStep = (&'static str, &'static str, String, u64);
+
 /// Multiset-diffs two translated programs. `Some((removed, added))` when
 /// every differing clause is a ground unit fact — the shape a saturated
 /// model can be DRed-patched over — `None` when any rule or non-ground
@@ -2747,6 +2396,8 @@ fn fo_unit_diff(old: &FoProgram, new: &FoProgram) -> Option<(Vec<FoAtom>, Vec<Fo
     Some((removed, added))
 }
 
+/// Zips per-rule tuple counts with rendered rule labels, dropping
+/// zero-count rules.
 fn rule_tuples(per_rule: &[u64], label: impl Fn(usize) -> String) -> Vec<RuleTuples> {
     per_rule
         .iter()

@@ -6,6 +6,8 @@ use clogic::session::{Session, SessionOptions, Strategy};
 use folog::{Budget, TripKind};
 use std::time::{Duration, Instant};
 
+mod common;
+
 /// A recursive entity-creating program: the head-only variable `X` is
 /// skolemized to `sk1(Y)`, so the translated program derives
 /// `t(a), t(sk1(a)), t(sk1(sk1(a))), …` — an infinite least model.
@@ -106,7 +108,7 @@ fn guard_leaves_terminating_programs_alone() {
         Strategy::Tabled,
         Strategy::Magic,
     ] {
-        let r = s.query("reach(a, Z)", strategy).unwrap();
+        let r = common::evaluate(&mut s, "reach(a, Z)", strategy).unwrap();
         assert!(r.complete, "{strategy:?} incomplete");
         assert!(r.degradation.is_none(), "{strategy:?} degraded");
         assert_eq!(r.rows.len(), 2, "{strategy:?}");

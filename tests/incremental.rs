@@ -5,9 +5,12 @@
 
 use clogic::core::program::Program;
 use clogic::core::{Atomic, DefiniteClause, LabelSpec, Term};
+use clogic::folog::Budget;
 use clogic::session::{Session, SessionOptions, Strategy};
 use proptest::prelude::*;
 use proptest::strategy::Strategy as ProptestStrategy;
+
+mod common;
 
 // ---------- generators ----------
 
@@ -157,8 +160,8 @@ fn assert_split_load_equivalent(a: Program, b: Program) {
 
     for strategy in Strategy::ALL {
         for q in QUERIES {
-            let s = split.query(q, strategy).unwrap();
-            let c = combined.query(q, strategy).unwrap();
+            let s = common::evaluate(&mut split, q, strategy).unwrap();
+            let c = common::evaluate(&mut combined, q, strategy).unwrap();
             assert_eq!(
                 s.rendered(),
                 c.rendered(),
@@ -286,17 +289,34 @@ fn answer_cache_hits_repeated_queries_and_invalidates_on_load() {
     assert_eq!(again, first);
     assert_eq!(s.cache_stats().hits, 1);
 
-    // A different strategy is a different cache key.
+    // The cache is keyed by the query text alone (complete answers are
+    // the same under every strategy), so an Sld repeat hits too.
     let _ = s.query("t1: X", Strategy::Sld).unwrap();
-    assert_eq!(s.cache_stats().hits, 1);
-    assert_eq!(s.cache_stats().misses, 2);
+    assert_eq!(s.cache_stats().hits, 2);
+    assert_eq!(s.cache_stats().misses, 1);
 
     // Loading bumps the epoch: the same query misses, and sees new data.
     s.load("t1: c3.").unwrap();
     let r = s.query("t1: X", Strategy::BottomUpSemiNaive).unwrap();
     assert_eq!(r.rows.len(), 3);
-    assert_eq!(s.cache_stats().hits, 1);
-    assert_eq!(s.cache_stats().misses, 3);
+    assert_eq!(s.cache_stats().hits, 2);
+    assert_eq!(s.cache_stats().misses, 2);
+}
+
+/// `Session::query` answers through the published snapshot's cache, so
+/// the snapshot serves the same answer to another strategy: there is one
+/// answer cache, not one per path.
+#[test]
+fn session_queries_fill_the_one_snapshot_cache() {
+    let mut s = Session::new();
+    s.load("t1: c1.\nt1: c2.").unwrap();
+    let semi = s.query("t1: X", Strategy::BottomUpSemiNaive).unwrap();
+    let snap = s.current_snapshot().expect("the query published");
+    let (sld, hit) = snap
+        .query_cached("t1: X", Strategy::Sld, &Budget::unlimited())
+        .unwrap();
+    assert!(hit, "the exclusive query filled the snapshot's cache");
+    assert_eq!(sld, semi);
 }
 
 #[test]
@@ -344,8 +364,7 @@ fn negation_overlays_leave_no_residue() {
         .unwrap();
     for _ in 0..2 {
         for strategy in [Strategy::Sld, Strategy::BottomUpSemiNaive] {
-            let r = s
-                .query("person: X, \\+ person: X[age => 28]", strategy)
+            let r = common::evaluate(&mut s, "person: X, \\+ person: X[age => 28]", strategy)
                 .unwrap();
             assert_eq!(r.rows.len(), 1, "{strategy:?}");
             assert_eq!(r.rows[0].get("X"), Some("bob".to_string()));

@@ -5,6 +5,8 @@
 
 use clogic::session::{Session, SessionError, Strategy};
 
+mod common;
+
 /// The strategies that support negation.
 const NEG_STRATEGIES: [Strategy; 4] = [
     Strategy::Direct,
@@ -144,11 +146,15 @@ fn closed_world_reading() {
         .unwrap();
     for strategy in NEG_STRATEGIES {
         assert!(
-            before.query("flies: tweety", strategy).unwrap().holds(),
+            common::evaluate(&mut before, "flies: tweety", strategy)
+                .unwrap()
+                .holds(),
             "{strategy:?}"
         );
         assert!(
-            !after.query("flies: tweety", strategy).unwrap().holds(),
+            !common::evaluate(&mut after, "flies: tweety", strategy)
+                .unwrap()
+                .holds(),
             "{strategy:?}"
         );
     }

@@ -51,6 +51,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+mod common;
+
 const QUERIES: &[&str] = &["t2: X", "t3: O[l2 => V]", "p(X)", "t1: X[l1 => Y]"];
 
 /// Same program as the serve/tenants suites — facts, molecules, a
@@ -152,8 +154,7 @@ fn serial_expected(loads: &[String]) -> HashMap<(usize, usize), Rows> {
     let mut expected = HashMap::new();
     for (si, strategy) in Strategy::ALL.into_iter().enumerate() {
         for (qi, q) in QUERIES.iter().enumerate() {
-            let rows: Rows = s
-                .query(q, strategy)
+            let rows: Rows = common::evaluate(&mut s, q, strategy)
                 .unwrap()
                 .rows
                 .iter()

@@ -7,6 +7,8 @@
 use clogic::session::{Session, SessionOptions, Strategy};
 use clogic::Strategy::*;
 
+mod common;
+
 /// Every strategy that terminates on programs whose rules contain unbound
 /// typed variables. Plain SLD diverges on such translated programs — the
 /// type axioms `object(X) :- commonnp(X)` recurse through rule bodies —
@@ -67,25 +69,29 @@ fn x4_ground_and_negative_queries() {
     s.load(NOUN_PHRASE).unwrap();
     for strategy in TERMINATING {
         assert!(
-            s.query("noun_phrase: np(the, students)", strategy)
+            common::evaluate(&mut s, "noun_phrase: np(the, students)", strategy)
                 .unwrap()
                 .holds(),
             "{strategy:?}"
         );
         assert!(
-            !s.query("noun_phrase: np(a, students)", strategy)
+            !common::evaluate(&mut s, "noun_phrase: np(a, students)", strategy)
                 .unwrap()
                 .holds(),
             "{strategy:?}"
         );
         // determiners are not noun phrases
         assert!(
-            !s.query("noun_phrase: the", strategy).unwrap().holds(),
+            !common::evaluate(&mut s, "noun_phrase: the", strategy)
+                .unwrap()
+                .holds(),
             "{strategy:?}"
         );
         // but they are objects
         assert!(
-            s.query("object: the", strategy).unwrap().holds(),
+            common::evaluate(&mut s, "object: the", strategy)
+                .unwrap()
+                .holds(),
             "{strategy:?}"
         );
     }
@@ -96,9 +102,7 @@ fn x4_propernp_inherits_into_noun_phrase() {
     let mut s = Session::new();
     s.load(NOUN_PHRASE).unwrap();
     for strategy in TERMINATING {
-        let r = s
-            .query("noun_phrase: john[def => definite]", strategy)
-            .unwrap();
+        let r = common::evaluate(&mut s, "noun_phrase: john[def => definite]", strategy).unwrap();
         assert!(r.holds(), "{strategy:?}");
     }
 }
@@ -261,8 +265,8 @@ fn optimized_and_unoptimized_translations_agree() {
         ":- commonnp: X[def => D].",
     ] {
         for strategy in [BottomUpNaive, BottomUpSemiNaive, Tabled, Magic] {
-            let a = plain.query(query, strategy).unwrap();
-            let b = optimized.query(query, strategy).unwrap();
+            let a = common::evaluate(&mut plain, query, strategy).unwrap();
+            let b = common::evaluate(&mut optimized, query, strategy).unwrap();
             assert_eq!(a.rows, b.rows, "{query} under {strategy:?}");
         }
     }

@@ -17,6 +17,8 @@ use proptest::strategy::Strategy as ProptestStrategy;
 use std::io::Write as _;
 use std::sync::atomic::Ordering;
 
+mod common;
+
 const QUERIES: &[&str] = &["t2: X", "t3: O[l2 => V]", "p(X)", "t1: X[l1 => Y]"];
 
 /// Small compaction interval so multi-chunk runs exercise snapshotting,
@@ -79,8 +81,8 @@ fn assert_equivalent(
         );
         for strategy in Strategy::ALL {
             for q in QUERIES {
-                let r = recovered.query(q, strategy).expect("recovered query");
-                let u = uninterrupted.query(q, strategy).expect("baseline query");
+                let r = common::evaluate(recovered, q, strategy).expect("recovered query");
+                let u = common::evaluate(uninterrupted, q, strategy).expect("baseline query");
                 assert_eq!(r.rendered(), u.rendered(), "{strategy:?} on {q}");
             }
         }

@@ -25,6 +25,8 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as ProptestStrategy;
 use std::sync::atomic::Ordering;
 
+mod common;
+
 const QUERIES: &[&str] = &["t2: X", "t3: O[l2 => V]", "p(X)", "t1: X[l1 => Y]"];
 
 fn opts() -> SessionOptions {
@@ -86,8 +88,8 @@ fn assert_equivalent(recovered: &mut Session, uninterrupted: &mut Session, conte
     );
     for strategy in Strategy::ALL {
         for q in QUERIES {
-            let r = recovered.query(q, strategy).expect("recovered query");
-            let u = uninterrupted.query(q, strategy).expect("baseline query");
+            let r = common::evaluate(recovered, q, strategy).expect("recovered query");
+            let u = common::evaluate(uninterrupted, q, strategy).expect("baseline query");
             assert_eq!(r.rendered(), u.rendered(), "{strategy:?} on {q} ({context})");
         }
     }
@@ -101,16 +103,16 @@ fn retracted_fact_is_gone_across_all_strategies() {
     s.load("t1: c1[l1 => c2].\nt1: c3.\np(X) :- t1: X[l1 => Y].")
         .unwrap();
     for strategy in Strategy::ALL {
-        assert!(s.query("p(c1)", strategy).unwrap().holds(), "{strategy:?}");
+        assert!(common::evaluate(&mut s, "p(c1)", strategy).unwrap().holds(), "{strategy:?}");
     }
     s.retract("t1: c1[l1 => c2].").unwrap();
     for strategy in Strategy::ALL {
         assert!(
-            !s.query("p(c1)", strategy).unwrap().holds(),
+            !common::evaluate(&mut s, "p(c1)", strategy).unwrap().holds(),
             "{strategy:?} still derives from the retracted fact"
         );
         assert!(
-            s.query("t1: c3", strategy).unwrap().holds(),
+            common::evaluate(&mut s, "t1: c3", strategy).unwrap().holds(),
             "{strategy:?} lost a surviving fact"
         );
     }
@@ -123,8 +125,8 @@ fn retract_rule_removes_its_consequences() {
     assert!(s.query("t2: c1", Strategy::Sld).unwrap().holds());
     s.retract("t2: X :- t1: X.").unwrap();
     for strategy in Strategy::ALL {
-        assert!(!s.query("t2: c1", strategy).unwrap().holds(), "{strategy:?}");
-        assert!(s.query("t1: c1", strategy).unwrap().holds(), "{strategy:?}");
+        assert!(!common::evaluate(&mut s, "t2: c1", strategy).unwrap().holds(), "{strategy:?}");
+        assert!(common::evaluate(&mut s, "t1: c1", strategy).unwrap().holds(), "{strategy:?}");
     }
 }
 
@@ -165,11 +167,11 @@ fn retracting_one_of_two_identical_assertions_keeps_the_fact() {
     s.load("t1: c1.").unwrap();
     s.retract("t1: c1.").unwrap();
     for strategy in Strategy::ALL {
-        assert!(s.query("t1: c1", strategy).unwrap().holds(), "{strategy:?}");
+        assert!(common::evaluate(&mut s, "t1: c1", strategy).unwrap().holds(), "{strategy:?}");
     }
     s.retract("t1: c1.").unwrap();
     for strategy in Strategy::ALL {
-        assert!(!s.query("t1: c1", strategy).unwrap().holds(), "{strategy:?}");
+        assert!(!common::evaluate(&mut s, "t1: c1", strategy).unwrap().holds(), "{strategy:?}");
     }
 }
 
@@ -187,7 +189,7 @@ fn skolem_entities_die_with_their_support_and_survivors_keep_identity() {
     assert_eq!(before.len(), 2, "one minted entity per base fact");
     s.retract("t1: c1.").unwrap();
     for strategy in Strategy::ALL {
-        let after = s.query("t3: O[l2 => V]", strategy).unwrap().rendered();
+        let after = common::evaluate(&mut s, "t3: O[l2 => V]", strategy).unwrap().rendered();
         assert_eq!(after.len(), 1, "{strategy:?}: c1's entity must be gone");
         assert!(
             before.contains(&after[0]),
@@ -198,15 +200,16 @@ fn skolem_entities_die_with_their_support_and_survivors_keep_identity() {
     }
 }
 
-/// The saturated models built before the retraction are DRed-patched in
+/// The saturated model built before the retraction is DRed-patched in
 /// place, not dropped: the patch counter moves and the answers agree
-/// with a from-scratch session.
+/// with a from-scratch session. The session holds one model, the
+/// semi-naive one; naive queries saturate their snapshot's own.
 #[test]
 fn cached_models_are_patched_not_recomputed() {
     let mut s = Session::new();
     s.load("t1: c1[l1 => c2].\nt1: c3.\np(X) :- t1: X[l1 => Y].")
         .unwrap();
-    // Build and cache the saturated models.
+    // Build and cache the saturated model (and the snapshot's naive one).
     s.query("p(X)", Strategy::BottomUpSemiNaive).unwrap();
     s.query("p(X)", Strategy::BottomUpNaive).unwrap();
     s.retract("t1: c3.").unwrap();
@@ -216,22 +219,22 @@ fn cached_models_are_patched_not_recomputed() {
         .get("session.retract.models_patched")
         .copied()
         .unwrap_or(0);
-    assert!(
-        patched >= 2,
-        "both cached models should be DRed-patched, got {patched}"
-    );
+    assert_eq!(patched, 1, "the cached model should be DRed-patched");
     let dred = m.counters.get("folog.dred.runs").copied().unwrap_or(0);
-    assert!(dred >= 2, "the DRed pass should have run, got {dred}");
+    assert_eq!(dred, 1, "the DRed pass should have run once");
+    assert_eq!(m.counters.get("session.retract.models_dropped"), None);
     let mut fresh = Session::new();
     fresh
         .load("t1: c1[l1 => c2].\np(X) :- t1: X[l1 => Y].")
         .unwrap();
     for q in QUERIES {
-        assert_eq!(
-            s.query(q, Strategy::BottomUpSemiNaive).unwrap().rendered(),
-            fresh.query(q, Strategy::BottomUpSemiNaive).unwrap().rendered(),
-            "patched model disagrees on {q}"
-        );
+        for strategy in [Strategy::BottomUpSemiNaive, Strategy::BottomUpNaive] {
+            assert_eq!(
+                common::evaluate(&mut s, q, strategy).unwrap().rendered(),
+                common::evaluate(&mut fresh, q, strategy).unwrap().rendered(),
+                "patched session disagrees under {strategy:?} on {q}"
+            );
+        }
     }
 }
 
@@ -263,6 +266,44 @@ fn pinned_snapshot_keeps_serving_pre_retraction_state() {
         .query_cached("p(X)", Strategy::BottomUpSemiNaive, &unlimited)
         .unwrap();
     assert!(!after.holds());
+}
+
+/// A snapshot pinned from a session that only ever queried through
+/// `Session::query` keeps answering its own epoch while the session
+/// loads, retracts and queries on. The writes drop it from the unshared
+/// cell (so the session's next publish need not clone what it pins),
+/// but never change it.
+#[test]
+fn snapshot_pinned_from_an_exclusive_session_keeps_its_epoch() {
+    let mut s = Session::new();
+    s.load("t1: c1[l1 => c2].\np(X) :- t1: X[l1 => Y].")
+        .unwrap();
+    let before = s.query("p(X)", Strategy::BottomUpSemiNaive).unwrap();
+    let pinned = s.current_snapshot().expect("the query published");
+    let epoch = pinned.epoch();
+
+    s.load("t1: c3[l1 => c4].").unwrap();
+    assert!(
+        s.current_snapshot().is_none(),
+        "a write drops an unshared snapshot"
+    );
+    assert_eq!(
+        s.query("p(X)", Strategy::BottomUpSemiNaive)
+            .unwrap()
+            .rows
+            .len(),
+        2
+    );
+    s.retract("t1: c1[l1 => c2].").unwrap();
+    let after = s.query("p(X)", Strategy::BottomUpSemiNaive).unwrap();
+    assert_eq!(after.rendered(), ["X = c3"]);
+
+    assert_eq!(pinned.epoch(), epoch);
+    let unlimited = Budget::unlimited();
+    for strategy in Strategy::ALL {
+        let still = pinned.query("p(X)", strategy, &unlimited).unwrap();
+        assert_eq!(still.rendered(), before.rendered(), "{strategy:?}");
+    }
 }
 
 // ---------- durability: crash-at-every-prefix, chaos, report ----------
@@ -480,8 +521,8 @@ proptest! {
         for strategy in Strategy::ALL {
             for q in QUERIES {
                 prop_assert_eq!(
-                    with.query(q, strategy).unwrap().rendered(),
-                    without.query(q, strategy).unwrap().rendered(),
+                    common::evaluate(&mut with, q, strategy).unwrap().rendered(),
+                    common::evaluate(&mut without, q, strategy).unwrap().rendered(),
                     "{:?} on {} after retracting\n{}\nfrom\n{}",
                     strategy, q, added.join("\n"), with.program()
                 );

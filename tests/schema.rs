@@ -9,6 +9,8 @@ use clogic_parser::parse_program;
 use folog::builtins::builtin_symbols;
 use folog::{evaluate, CompiledProgram, FixpointOptions};
 
+mod common;
+
 fn audit(src: &str, schema: &Schema) -> Vec<Violation> {
     let p: Program = parse_program(src).unwrap();
     let fo = Transformer::new().program(&p);
@@ -80,7 +82,7 @@ fn membership_rules_close_the_static_reading() {
         Strategy::Tabled,
         Strategy::Magic,
     ] {
-        let r = s.query("person: X", strategy).unwrap();
+        let r = common::evaluate(&mut s, "person: X", strategy).unwrap();
         assert_eq!(r.rows.len(), 1, "{strategy:?}");
         assert_eq!(r.rows[0].get("X").unwrap(), "t1");
     }

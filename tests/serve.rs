@@ -21,7 +21,9 @@
 
 use clogic::folog::bottom_up::EvalError;
 use clogic::folog::Budget;
-use clogic::session::{Answers, Session, SessionError, SessionOptions, Strategy};
+use clogic::session::{
+    Answers, Session, SessionError, SessionOptions, Strategy, ANSWER_CACHE_CAPACITY,
+};
 use clogic::store::{
     ChaosStorage, Fault, MemStorage, RetryPolicy, RetryingStorage, Sleeper, Storage,
 };
@@ -31,6 +33,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+mod common;
 
 const QUERIES: &[&str] = &["t2: X", "t3: O[l2 => V]", "p(X)", "t1: X[l1 => Y]"];
 
@@ -103,7 +107,7 @@ fn assert_equivalent(server: &Server, base: &mut Session, queries: &[&str], cont
             let served = server
                 .query(q, strategy)
                 .unwrap_or_else(|e| panic!("served {strategy:?} on {q} ({context}): {e}"));
-            let serial = base.query(q, strategy).expect("baseline query");
+            let serial = common::evaluate(base, q, strategy).expect("baseline query");
             assert_eq!(
                 served.rendered(),
                 serial.rendered(),
@@ -553,6 +557,35 @@ fn prepare_runs_one_fixpoint_per_write_and_snapshots_saturate_naive_once() {
     assert_eq!(fixpoint_evaluations(&s), before + 1, "racing first queries share one saturation");
 }
 
+/// A snapshot's answer cache is bounded: more distinct complete answers
+/// than its capacity clear it (counted as evictions), and a repeat right
+/// after an insert still hits.
+#[test]
+fn snapshot_answer_cache_is_bounded() {
+    let mut s = Session::with_options(opts());
+    s.load(&chunks()[0]).unwrap();
+    s.prepare().unwrap();
+    let snap = s.current_snapshot().expect("prepare publishes a snapshot");
+    let unlimited = Budget::unlimited();
+    for i in 0..ANSWER_CACHE_CAPACITY + 100 {
+        let q = format!("t1: c{i}");
+        let (a, hit) = snap.query_cached(&q, Strategy::Direct, &unlimited).unwrap();
+        assert!(a.complete && !hit, "{q}");
+        assert!(snap.cached_answers() <= ANSWER_CACHE_CAPACITY);
+        assert!(
+            snap.query_cached(&q, Strategy::Direct, &unlimited)
+                .unwrap()
+                .1,
+            "{q}"
+        );
+    }
+    let evictions = s
+        .metrics()
+        .counter("session.snapshot.cache.evictions")
+        .unwrap_or(0);
+    assert!(evictions > 0);
+}
+
 fn is_unstratifiable(r: Result<Answers, ServeError>) -> bool {
     matches!(
         r,
@@ -602,8 +635,7 @@ fn unstratifiable_load_keeps_a_persistent_server_writable() {
             Err(ServeError::Session(e)) => Err(e.to_string()),
             Err(e) => panic!("{strategy:?}: {e}"),
         };
-        let want = exclusive
-            .query("seed: X", strategy)
+        let want = common::evaluate(&mut exclusive, "seed: X", strategy)
             .map(|a| a.rendered())
             .map_err(|e| e.to_string());
         assert_eq!(served, want, "{strategy:?}");
@@ -657,8 +689,7 @@ proptest! {
         let expected: Vec<Vec<String>> = ops
             .iter()
             .map(|&(q, s)| {
-                serial
-                    .query(QUERIES[q], Strategy::ALL[s])
+                common::evaluate(&mut serial, QUERIES[q], Strategy::ALL[s])
                     .unwrap()
                     .rendered()
             })
@@ -686,8 +717,8 @@ proptest! {
         server.shutdown();
     }
 
-    /// Direct snapshot reads equal the exclusive `&mut self` path for
-    /// every strategy over the entity-creating program — including the
+    /// Direct snapshot reads equal each strategy's own evaluation on a
+    /// second session, over the entity-creating program — including the
     /// `skN` identities — and the snapshot's cross-strategy answer
     /// cache hands back exactly the answers it was filled with, even
     /// when the hit comes from a different strategy than the fill.
@@ -704,7 +735,7 @@ proptest! {
         let unlimited = Budget::unlimited();
         for &(q, s) in &ops {
             let (query, strategy) = (QUERIES[q], Strategy::ALL[s]);
-            let want = exclusive.query(query, strategy).unwrap();
+            let want = common::evaluate(&mut exclusive, query, strategy).unwrap();
             let (got, _) = snap.query_cached(query, strategy, &unlimited).unwrap();
             prop_assert_eq!(
                 got.rendered(),

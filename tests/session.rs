@@ -3,6 +3,8 @@
 
 use clogic::session::{Session, SessionError, SessionOptions, Strategy};
 
+mod common;
+
 #[test]
 fn cumulative_loads_accumulate() {
     let mut s = Session::new();
@@ -15,7 +17,7 @@ fn cumulative_loads_accumulate() {
         .unwrap();
     // caches invalidated: new facts and the new subtype both visible
     for strategy in Strategy::ALL {
-        let r = s.query("person: X", strategy).unwrap();
+        let r = common::evaluate(&mut s, "person: X", strategy).unwrap();
         assert_eq!(r.rows.len(), 3, "{strategy:?}");
     }
 }
@@ -80,11 +82,12 @@ fn optimize_translation_toggle_changes_program_not_answers() {
         Strategy::Magic,
     ] {
         assert_eq!(
-            optimized
-                .query("np: X[num => plural]", strategy)
+            common::evaluate(&mut optimized, "np: X[num => plural]", strategy)
                 .unwrap()
                 .rows,
-            plain.query("np: X[num => plural]", strategy).unwrap().rows,
+            common::evaluate(&mut plain, "np: X[num => plural]", strategy)
+                .unwrap()
+                .rows,
             "{strategy:?}"
         );
     }

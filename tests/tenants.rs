@@ -36,6 +36,8 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+mod common;
+
 const QUERIES: &[&str] = &["t2: X", "t3: O[l2 => V]", "p(X)", "t1: X[l1 => Y]"];
 
 /// Same shape as the serve/recovery suites: facts, molecules, a subtype
@@ -139,7 +141,7 @@ fn assert_tenant_equals_serial(
             let served = mgr
                 .query(name, q, strategy)
                 .unwrap_or_else(|e| panic!("{strategy:?} on {q} ({context}): {e}"));
-            let expected = base.query(q, strategy).expect("serial query");
+            let expected = common::evaluate(base, q, strategy).expect("serial query");
             assert_eq!(
                 served.rendered(),
                 expected.rendered(),
@@ -209,7 +211,7 @@ fn sick_tenant_is_read_only_while_neighby_tenants_serve_unaffected() {
             for strategy in Strategy::ALL {
                 for q in QUERIES {
                     let served = mgr.query("sick", q, strategy).unwrap();
-                    let expected = base.query(q, strategy).unwrap();
+                    let expected = common::evaluate(&mut base, q, strategy).unwrap();
                     assert_eq!(served.rendered(), expected.rendered(), "sick {strategy:?} {q}");
                 }
             }
@@ -225,7 +227,7 @@ fn sick_tenant_is_read_only_while_neighby_tenants_serve_unaffected() {
                 for strategy in Strategy::ALL {
                     for q in QUERIES {
                         let served = mgr.query(name, q, strategy).unwrap();
-                        let expected = base.query(q, strategy).unwrap();
+                        let expected = common::evaluate(&mut base, q, strategy).unwrap();
                         assert_eq!(
                             served.rendered(),
                             expected.rendered(),
@@ -548,8 +550,7 @@ fn tcp_front_round_trips_load_query_status_and_errors() {
                     other => panic!("row is not an object: {other}"),
                 })
                 .collect();
-            let expected: Vec<Vec<(String, String)>> = base
-                .query(q, strategy)
+            let expected: Vec<Vec<(String, String)>> = common::evaluate(&mut base, q, strategy)
                 .unwrap()
                 .rows
                 .iter()
