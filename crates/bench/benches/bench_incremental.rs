@@ -1,4 +1,4 @@
-//! E7 — incremental re-query after a 1-fact delta vs full recompute.
+//! E-incremental — re-query after a 1-fact delta vs full recompute.
 //!
 //! The serving-workload scenario the epoch-versioned session exists for:
 //! a large path database is loaded and saturated once; then a single
@@ -80,7 +80,7 @@ fn main() {
 
     let speedup = full.wall.as_secs_f64() / warm.wall.as_secs_f64().max(1e-9);
     print_table(
-        "e7_incremental (1-fact delta re-query vs full recompute)",
+        "E-incremental (1-fact delta re-query vs full recompute)",
         &["config", "edges", "answers", "wall (us)"],
         &[
             vec![

@@ -1,4 +1,4 @@
-//! E8 — observability overhead: quiet metrics vs null-subscriber tracing
+//! E-obs — observability overhead: quiet metrics vs null-subscriber tracing
 //! vs a memory-subscriber trace, over a recursive serving workload.
 //!
 //! The design claim under test: spans open at evaluation granularity and
@@ -79,7 +79,7 @@ fn main() {
     let overhead = nulled.as_secs_f64() / quiet.as_secs_f64().max(1e-9) - 1.0;
     let ring_overhead = ringed.as_secs_f64() / quiet.as_secs_f64().max(1e-9) - 1.0;
     print_table(
-        "e8_observability (tracing overhead on a serving workload)",
+        "E-obs (tracing overhead on a serving workload)",
         &["config", "answers", "wall (us)", "overhead"],
         &[
             vec![

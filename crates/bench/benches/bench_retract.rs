@@ -1,13 +1,13 @@
 //! E12 — incremental re-query after a small retraction vs full rebuild.
 //!
-//! The deletion mirror of E7: a large path database is loaded and
-//! saturated once; then one edge is *retracted*. The session repairs its
-//! cached saturated model with the DRed delete-rederive pass (overdelete
-//! the edge's consequences, rederive survivors — work proportional to
-//! the one affected chain component) and re-answers; the baseline
-//! rebuilds a fresh session over the reduced program and pays the whole
-//! fixpoint again. Expected shape: retraction wins by well over an order
-//! of magnitude, because only one component's paths are touched.
+//! The deletion mirror of E-incremental: a large path database is
+//! loaded and saturated once; then one edge is *retracted*. The session
+//! repairs its cached saturated model with the DRed delete-rederive pass
+//! (overdelete the edge's consequences, rederive survivors — work
+//! proportional to the one affected chain component) and re-answers; the
+//! baseline rebuilds a fresh session over the reduced program and pays
+//! the whole fixpoint again. Expected shape: retraction wins by well over
+//! an order of magnitude, because only one component's paths are touched.
 //!
 //! Hand-written harness (`harness = false`): `--test` runs a small smoke
 //! configuration (for CI); the full run asserts the speedup floor, which
@@ -33,9 +33,9 @@ const NONLINEAR_PATH_RULES: &str =
          path: id(X, Z)[src => X, dest => Z],\n\
          path: id(Z, Y)[src => Z, dest => Y].\n";
 
-/// Same guard exemption as E7: the path rules mint `id(X, Y)` in rule
-/// heads, which the termination guard flags, but the closure is bounded
-/// by the disjoint chains. The full workload's saturated model also
+/// Same guard exemption as E-incremental: the path rules mint `id(X, Y)`
+/// in rule heads, which the termination guard flags, but the closure is
+/// bounded by the disjoint chains. The full workload's saturated model also
 /// exceeds the session-default 1M fact ceiling, so the fixpoint cap is
 /// lifted (the closure is finite — the ceiling is a safety net, not a
 /// correctness bound).

@@ -18,15 +18,11 @@
 //! configuration for CI; either mode dumps `BENCH_tenants.json` at the
 //! workspace root.
 
-use clogic::obs::{Json, Obs};
+use clogic::obs::Obs;
 use clogic::{SessionOptions, Strategy};
 use clogic_bench::measure::{dump_json, print_table, us};
 use clogic::store::{ChaosStorage, Fault, MemStorage, RetryPolicy, Storage};
-use clogic_serve::protocol::get;
-use clogic_serve::{
-    Client, ManagerOptions, Request, RequestOp, SessionManager, StorageFactory, TcpFront,
-    TcpFrontOptions,
-};
+use clogic_serve::{ManagerOptions, SessionManager, StorageFactory};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -58,7 +54,7 @@ fn factory(tenants: usize) -> StorageFactory {
             .strip_prefix("tenant")
             .and_then(|d| d.parse().ok())
             .unwrap_or(0);
-        if index < tenants && index % CHAOS_STRIDE == 0 {
+        if index < tenants && index.is_multiple_of(CHAOS_STRIDE) {
             Ok(Box::new(ChaosStorage::intermittent(
                 storage,
                 CHAOS_TRIGGER,
@@ -150,69 +146,7 @@ fn main() {
         "residency {max_resident} broke the LRU bound {capacity}"
     );
 
-    // Wire phase: the same manager behind the hardened TCP front-end,
-    // several concurrent clients hammering the warm set. Measures the
-    // full path — framing, admission queue, deadline plumbing, response
-    // encode — and reads the `net.*` ledger back out for the dump.
-    let mgr = Arc::new(mgr);
-    let front = TcpFront::start(
-        Arc::clone(&mgr),
-        "127.0.0.1:0",
-        TcpFrontOptions {
-            workers: 2,
-            queue_depth: 256,
-            ..TcpFrontOptions::default()
-        },
-    )
-    .expect("bind wire front");
-    let addr = front.addr();
-    let wire_clients = 4usize;
-    let wire_per_client = if test_mode { 64 } else { 512 };
-    let wire_queries = wire_clients * wire_per_client;
-    let wire_start = Instant::now();
-    let handles: Vec<_> = (0..wire_clients)
-        .map(|c| {
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("wire connect");
-                for k in 0..wire_per_client {
-                    let i = (c + k * wire_clients) % hot;
-                    let resp = client
-                        .request(&Request {
-                            tenant: tenant_name(i),
-                            op: RequestOp::Query {
-                                src: "cheap(X)".to_string(),
-                                strategy: rotation[k % rotation.len()],
-                                deadline_ms: Some(30_000),
-                            },
-                        })
-                        .expect("wire query");
-                    assert_eq!(
-                        get(&resp, "ok"),
-                        Some(&Json::Bool(true)),
-                        "wire tenant {i}: {resp}"
-                    );
-                    assert!(
-                        resp.to_string().contains(&format!("\"w{i}\"")),
-                        "wire tenant {i} answered someone else's data: {resp}"
-                    );
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("wire client");
-    }
-    let wire_wall = wire_start.elapsed();
-    front.shutdown();
-    let wire_qps = wire_queries as f64 / wire_wall.as_secs_f64().max(1e-9);
-
     let snap = obs.metrics.snapshot();
-    let frames_in = snap.counter("net.frames.in").unwrap_or(0);
-    let frames_out = snap.counter("net.frames.out").unwrap_or(0);
-    let accepted = snap.counter("net.connections.accepted").unwrap_or(0);
-    let (qw_count, qw_sum) = snap.histogram("net.queue_wait_us").unwrap_or((0, 0));
-    assert_eq!(frames_in, wire_queries as u64, "every wire frame admitted");
-    assert_eq!(frames_out, wire_queries as u64, "every wire frame answered");
     let evictions = snap.counter("manager.evictions").unwrap_or(0);
     let recoveries = snap.counter("manager.recoveries").unwrap_or(0);
     assert!(evictions > 0 && recoveries > 0, "the mix never went cold");
@@ -252,20 +186,11 @@ fn main() {
                 us(query_wall),
                 format!("{qps:.0}"),
             ],
-            vec![
-                format!("wire ({wire_clients} clients over TCP)"),
-                wire_queries.to_string(),
-                us(wire_wall),
-                format!("{wire_qps:.0}"),
-            ],
         ],
     );
-    let qw_mean_us = if qw_count > 0 { qw_sum / qw_count } else { 0 };
     println!(
         "\nresident peak {max_resident}/{capacity} over {tenants} tenants; \
-         {evictions} evictions, {recoveries} recoveries, {retries} retries absorbed; \
-         wire: {accepted} conns, {frames_in} frames in / {frames_out} out, \
-         mean queue wait {qw_mean_us} us"
+         {evictions} evictions, {recoveries} recoveries, {retries} retries absorbed"
     );
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tenants.json");
@@ -286,14 +211,6 @@ fn main() {
             ("evictions", evictions.to_string()),
             ("recoveries", recoveries.to_string()),
             ("retries_absorbed", retries.to_string()),
-            ("wire_clients", wire_clients.to_string()),
-            ("wire_queries", wire_queries.to_string()),
-            ("wire_us", us(wire_wall)),
-            ("wire_qps", format!("{wire_qps:.1}")),
-            ("wire_conns_accepted", accepted.to_string()),
-            ("wire_frames_in", frames_in.to_string()),
-            ("wire_frames_out", frames_out.to_string()),
-            ("wire_queue_wait_mean_us", qw_mean_us.to_string()),
         ],
     )
     .expect("dump BENCH_tenants.json");

@@ -1,4 +1,5 @@
-//! The experiment harness: regenerates every table of EXPERIMENTS.md.
+//! The experiment harness: regenerates every table of EXPERIMENTS.md
+//! (E1–E9), each self-checked by its own asserts.
 //!
 //! ```text
 //! cargo run --release -p clogic-bench --bin experiments            # all
@@ -13,8 +14,11 @@
 use clogic_bench::measure::{self, print_table, us, Run};
 use clogic_bench::{grammar, graphs, objects, typed};
 use clogic_core::optimize::typing_atom_count;
-use clogic_engine::DirectOptions;
-use folog::{SldOptions, Strategy as Fixpoint};
+use clogic_core::sym;
+use clogic_core::term::Const;
+use clogic_engine::{DirectOptions, ObjectStore};
+use folog::{unify, Bindings, RTerm, SldOptions, Strategy as Fixpoint, TermStore, UnifyOptions};
+use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
@@ -41,6 +45,9 @@ fn main() {
     }
     if want("e7") {
         e7_transformation_cost();
+    }
+    if want("e8") {
+        e8_substrate();
     }
     if want("e9") {
         e9_stratified_negation();
@@ -464,6 +471,78 @@ fn e7_transformation_cost() {
             "opt µs",
             "split factor",
         ],
+        &rows,
+    );
+}
+
+/// E8 — substrate micro-benchmarks: unification, hash-consing, clustered
+/// store insertion and parsing. No paper claim; they calibrate the
+/// building blocks the other experiments are made of.
+fn e8_substrate() {
+    /// Best of 10 timed calls after one untimed warm-up.
+    fn best_us(mut f: impl FnMut()) -> String {
+        f();
+        let walls = (0..10).map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed()
+        });
+        us(walls.min().expect("ten runs"))
+    }
+    let mut rows = Vec::new();
+    let mut row = |op: &str, size: String, wall: String| rows.push(vec![op.into(), size, wall]);
+    let deep = |depth: usize, leaf: RTerm| {
+        (0..depth).fold(leaf, |t, _| {
+            RTerm::App(sym("f"), vec![t, RTerm::Const(Const::Int(1))])
+        })
+    };
+    let unifies = |a: &RTerm, b: &RTerm| unify(a, b, &mut Bindings::new(), UnifyOptions::default());
+    for depth in [4usize, 16, 64] {
+        let open = deep(depth, RTerm::Var(0));
+        let leaf = deep(depth, RTerm::Const(Const::Sym(sym("leaf"))));
+        let other = deep(depth, RTerm::Const(Const::Sym(sym("other"))));
+        let success = best_us(|| assert!(unifies(&open, &leaf)));
+        // Failure at the leaf: a full traversal, then the rollback.
+        let failure = best_us(|| assert!(!unifies(&leaf, &other)));
+        row("unify (success)", format!("depth {depth}"), success);
+        row("unify (leaf failure)", format!("depth {depth}"), failure);
+    }
+    let intern = best_us(|| {
+        let mut store = TermStore::new();
+        for i in 0..1000i64 {
+            let x = store.intern_const(Const::Int(i));
+            let y = store.intern_const(Const::Int(i % 10));
+            store.intern_app(sym("pair"), vec![x, y]);
+        }
+        assert_eq!(store.len(), 1000 + 10 + 1000 - 10);
+    });
+    row("intern pair terms", "1000 pairs".into(), intern);
+    let insert = best_us(|| {
+        let (mut terms, mut store) = (TermStore::new(), ObjectStore::new());
+        for i in 0..500i64 {
+            let id = terms.intern_const(Const::Int(i));
+            store.add_type(id, sym("item"));
+            for j in 0..4i64 {
+                store.add_label(id, sym("l"), terms.intern_const(Const::Int(i * 4 + j)));
+            }
+        }
+        assert_eq!(store.len(), 500);
+    });
+    row("ObjectStore insert", "500 x 4 labels".into(), insert);
+    let src: String = (0..200)
+        .map(|i| {
+            let age = 20 + i % 50;
+            format!("person: p{i}[name => \"P {i}\", age => {age}, children => {{c{i}, d{i}}}].\n")
+        })
+        .collect();
+    let parse = best_us(|| {
+        let p = clogic_parser::parse_program(&src).expect("facts parse");
+        assert_eq!(p.clauses.len(), 200);
+    });
+    row("parse molecule facts", "200 facts".into(), parse);
+    print_table(
+        "E8 — substrate micro-benchmarks (best of 10 calls)",
+        &["operation", "size", "µs"],
         &rows,
     );
 }

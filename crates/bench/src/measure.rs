@@ -1,5 +1,5 @@
-//! Measurement plumbing shared by the Criterion benches and the
-//! `experiments` binary: run one query under one strategy, returning
+//! Measurement plumbing shared by the `experiments` binary and the
+//! `BENCH_*.json` harnesses: run one query under one strategy, returning
 //! wall-clock time, the answer count, and the engine's own operation
 //! counters (machine-independent work measures).
 

@@ -496,9 +496,9 @@ mod tests {
 
     #[test]
     fn percentiles_interpolate_within_one_wide_bucket() {
-        // The BENCH_serve degeneracy: every sample in one wide bucket
-        // (~28s queue waits all in [2^24, 2^25) µs) used to report
-        // p50 = p95 = p99 = 33554431. Interpolation keeps them apart.
+        // Every sample in one wide bucket (~28s queue waits, all in
+        // [2^24, 2^25) µs) used to report p50 = p95 = p99 = 33554431.
+        // Interpolation keeps them apart.
         let r = Registry::new();
         let h = r.histogram("wait.us");
         for _ in 0..100 {

@@ -776,16 +776,12 @@ struct ModelArtifact {
 pub struct SessionSnapshot {
     /// Load epoch this snapshot is current for.
     epoch: u64,
-    /// Translation generation backing the artifacts.
-    generation: u64,
     /// Cached termination-guard verdict for the translated program.
     may_diverge: bool,
     /// Breaker state of the durable storage at publish time — lets
     /// status listings report persistence health without touching the
     /// session lock.
     breaker_open: bool,
-    /// Skolem-minting state after the loads this snapshot reflects.
-    skolem: SkolemState,
     /// Session options frozen at publish (budget governor, engine
     /// options, observability handle).
     options: SessionOptions,
@@ -868,20 +864,10 @@ impl SessionSnapshot {
         self.epoch
     }
 
-    /// The translation generation backing this snapshot's artifacts.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Whether the session's persistence circuit breaker was open when
     /// this snapshot was published.
     pub fn breaker_open(&self) -> bool {
         self.breaker_open
-    }
-
-    /// The skolem-minting state after the loads this snapshot reflects.
-    pub fn skolem(&self) -> &SkolemState {
-        &self.skolem
     }
 
     /// Number of answers currently memoized in the snapshot's cache
@@ -1611,12 +1597,6 @@ impl Session {
     /// Logs one durable mutation (load or retract) — see
     /// [`Session::persist_load`]'s contract, which both kinds share.
     fn persist_record(&mut self, op: WalOp, src: &str) -> Result<(), SessionError> {
-        let rec = LoadRecord {
-            op,
-            epoch: self.epoch,
-            skolem: self.skolem_state(),
-            source: src.to_string(),
-        };
         if self.durable.is_none() {
             return Ok(());
         }
@@ -1629,6 +1609,12 @@ impl Session {
             // included.
             return self.snapshot();
         }
+        let rec = LoadRecord {
+            op,
+            epoch: self.epoch,
+            skolem: self.skolem_state(),
+            source: src.to_string(),
+        };
         let log = self.durable.as_mut().expect("checked above");
         log.append(&rec)?;
         self.durable_epoch = self.epoch;
@@ -2274,10 +2260,8 @@ impl Session {
         let t = self.translated.as_ref().expect("ensured");
         let snap = Arc::new(SessionSnapshot {
             epoch: self.epoch,
-            generation: t.generation,
             may_diverge: t.may_diverge,
             breaker_open: self.persistence_breaker_open(),
-            skolem: self.skolem_state(),
             options: self.options.clone(),
             fo: Arc::clone(&t.fo),
             cp: Arc::clone(&self.compiled_fo.as_ref().expect("ensured").cp),

@@ -530,3 +530,54 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Pin a snapshot after every write of a random history of chunk
+    /// loads and single-clause retractions (each clause quoted as
+    /// `Session::program` renders it). However far the session moves on,
+    /// every pinned snapshot keeps answering its own epoch: under every
+    /// strategy, through the uncached `SessionSnapshot::query`, it equals
+    /// a fresh session that replayed the same prefix. Each pinned
+    /// snapshot's first naive query runs only after the later writes, so
+    /// it saturates over the compiled program that snapshot pinned.
+    #[test]
+    fn pinned_snapshots_keep_their_epoch_across_write_histories(
+        steps in prop::collection::vec((prop::bool::ANY, chunk_src(), 0usize..64), 2..5),
+    ) {
+        let mut s = Session::new();
+        let mut ops = Vec::new();
+        let mut pinned = Vec::new();
+        for (retract, chunk, pick) in steps {
+            let clauses = &s.program().clauses;
+            let op = if retract && !clauses.is_empty() {
+                Op::Retract(clauses[pick % clauses.len()].to_string())
+            } else {
+                Op::Load(chunk)
+            };
+            apply(&mut s, &op).unwrap();
+            ops.push(op);
+            s.prepare().unwrap();
+            pinned.push(s.current_snapshot().expect("prepare publishes"));
+        }
+        let unlimited = Budget::unlimited();
+        for (k, snap) in pinned.iter().enumerate() {
+            let mut replay = Session::new();
+            for op in &ops[..=k] {
+                apply(&mut replay, op).unwrap();
+            }
+            prop_assert_eq!(snap.epoch(), replay.epoch());
+            for strategy in Strategy::ALL {
+                for q in QUERIES {
+                    prop_assert_eq!(
+                        snap.query(q, strategy, &unlimited).unwrap().rendered(),
+                        common::evaluate(&mut replay, q, strategy).unwrap().rendered(),
+                        "{:?} on {} at step {} of {:?}",
+                        strategy, q, k, ops
+                    );
+                }
+            }
+        }
+    }
+}
