@@ -17,7 +17,7 @@ use clogic_core::optimize::typing_atom_count;
 use clogic_core::sym;
 use clogic_core::term::Const;
 use clogic_engine::{DirectOptions, ObjectStore};
-use folog::{unify, Bindings, RTerm, SldOptions, Strategy as Fixpoint, TermStore, UnifyOptions};
+use folog::{unify, Bindings, RTerm, SldOptions, Strategy as Fixpoint, TermStore};
 use std::time::Instant;
 
 fn main() {
@@ -496,7 +496,7 @@ fn e8_substrate() {
             RTerm::App(sym("f"), vec![t, RTerm::Const(Const::Int(1))])
         })
     };
-    let unifies = |a: &RTerm, b: &RTerm| unify(a, b, &mut Bindings::new(), UnifyOptions::default());
+    let unifies = |a: &RTerm, b: &RTerm| unify(a, b, &mut Bindings::new());
     for depth in [4usize, 16, 64] {
         let open = deep(depth, RTerm::Var(0));
         let leaf = deep(depth, RTerm::Const(Const::Sym(sym("leaf"))));

@@ -35,10 +35,17 @@ pub struct MolGoal {
     /// Label pieces `(label, value)`; values are identity terms (nested
     /// molecules are lifted at compilation).
     pub specs: Vec<(Symbol, RTerm)>,
-    /// Residuals produced while resolving against the clustered store are
-    /// marked rules-only: the store has already said everything it knows
-    /// about this object, so re-consulting it would duplicate derivations.
+    /// Residuals produced while resolving against the clustered store,
+    /// and their own residuals, are marked rules-only: the store has
+    /// already said everything it knows about this object, so
+    /// re-consulting it would duplicate derivations.
     pub rules_only: bool,
+    /// The clause a residual must not resolve against: the one whose
+    /// head covered the goal while these pieces, open but matched by
+    /// that head, were left to other sources. Every instance of that
+    /// clause was already tried with the pieces covered. The residual's
+    /// own residuals inherit it.
+    pub skip_clause: Option<usize>,
 }
 
 impl MolGoal {
@@ -81,6 +88,11 @@ pub enum Goal {
     /// compiled form of one negated atomic formula) has no solution
     /// under the current bindings, which must ground it.
     Neg(Vec<Goal>),
+    /// The end of one clause resolution's goals (its body and residual),
+    /// placed before its continuation: from here on, the molecular goal
+    /// it resolved no longer counts as in progress for the variant loop
+    /// check.
+    Exit,
 }
 
 impl fmt::Display for Goal {
@@ -107,6 +119,7 @@ impl fmt::Display for Goal {
                 }
                 write!(f, ")")
             }
+            Goal::Exit => write!(f, "exit"),
         }
     }
 }
@@ -208,6 +221,7 @@ fn flatten_term_at(
             id: id.clone(),
             specs,
             rules_only: false,
+            skip_clause: None,
         }));
     }
     id
@@ -364,7 +378,9 @@ impl DirectProgram {
                         Goal::Pred { pred, .. } => {
                             self.intensional_preds.insert(*pred);
                         }
-                        Goal::Neg(_) => unreachable!("negation cannot occur in a head"),
+                        Goal::Neg(_) | Goal::Exit => {
+                            unreachable!("a head holds molecules and predicates only")
+                        }
                     }
                 }
                 self.clauses.push(MolClause {
@@ -394,7 +410,9 @@ impl DirectProgram {
                 let tuple: Vec<folog::TermId> = args.iter().map(|a| self.intern(a)).collect();
                 self.preds.insert(*pred, tuple, &self.terms);
             }
-            Goal::Neg(_) => unreachable!("negation cannot occur in a fact"),
+            Goal::Neg(_) | Goal::Exit => {
+                unreachable!("a fact holds molecules and predicates only")
+            }
         }
     }
 
@@ -423,6 +441,7 @@ fn goal_is_ground(g: &Goal) -> bool {
         Goal::Mol(m) => m.id.is_ground() && m.specs.iter().all(|(_, v)| v.is_ground()),
         Goal::Pred { args, .. } => args.iter().all(RTerm::is_ground),
         Goal::Neg(inner) => inner.iter().all(goal_is_ground),
+        Goal::Exit => true,
     }
 }
 
@@ -711,6 +730,7 @@ mod tests {
             id: RTerm::Var(0),
             specs: vec![(sym("l"), RTerm::Var(1))],
             rules_only: false,
+            skip_clause: None,
         };
         assert_eq!(m.piece_count(), 2);
     }

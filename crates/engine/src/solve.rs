@@ -32,20 +32,31 @@ use folog::builtins::BuiltinError;
 use folog::program::{shift_atom, shift_term};
 use folog::rterm::{RAtom, RTerm, VarAlloc, VarId};
 use folog::sld::fo_of_rterm;
-use folog::unify::{unify, Bindings, UnifyOptions};
+use folog::unify::{unify, Bindings};
 use folog::{TermId, TermStore};
 use std::collections::{BTreeMap, HashMap};
 
 /// How aggressively pieces of a molecular goal are residuated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResiduationMode {
-    /// Residuate a piece only when the current source (store record or
-    /// clause head) has **no** unifiable value for its label. Complete for
-    /// the paper's residuation scenarios (information about one object
-    /// split across sources), and keeps the search linear in practice.
-    /// What it gives up: answer combinations where one *unbound* piece
-    /// takes a value from this source while an identical-label sibling
-    /// piece takes its value from a different source.
+    /// Residuate a piece when the current source (store record or
+    /// clause head) has **no** unifiable value for its label, when its
+    /// label is duplicated in the goal (the §5 subset pattern
+    /// `children => {X, Y}`: each duplicate may take its value from a
+    /// different source), or when its value is still unbound: another
+    /// source may supply a different value for it (`t1: X[l1 => V]` over
+    /// a stored `l1` value and a rule deriving another one). A ground
+    /// piece a stored record or a ground head value matches is settled;
+    /// one a head variable matched is not, since the clause body may
+    /// fail for that value where another clause supplies it
+    /// (`r1: X[m1 => c2]`, `r1` derived by one rule and `m1 => c2` by
+    /// another). A piece a clause head matched residuates towards the
+    /// other sources only, since that head's instances were all tried.
+    /// Cost: each open piece whose label is both stored and derived
+    /// doubles the branches of a source that matches it, as `Full` does
+    /// for every piece. What it gives up: answers that take one such
+    /// piece from one instance of a clause and another piece from a
+    /// second instance of it.
     OnFailure,
     /// Try the residual branch for every piece (2^pieces branches per
     /// source): fully complete cross-source combinations, exponentially
@@ -66,8 +77,6 @@ pub struct DirectOptions {
     pub max_steps: Option<u64>,
     /// Stop after this many solutions.
     pub max_solutions: Option<usize>,
-    /// Unification options.
-    pub unify: UnifyOptions,
     /// Residuation aggressiveness.
     pub residuation: ResiduationMode,
     /// Shared resource ceilings (deadline, steps, memory, cancellation).
@@ -83,7 +92,6 @@ impl Default for DirectOptions {
             max_depth: Some(10_000),
             max_steps: Some(10_000_000),
             max_solutions: None,
-            unify: UnifyOptions::default(),
             residuation: ResiduationMode::OnFailure,
             budget: Budget::unlimited(),
             obs: clogic_obs::Obs::default(),
@@ -166,7 +174,9 @@ struct Search<'p> {
     meter: BudgetMeter,
     emitted: usize,
     /// Canonical forms of molecular goals whose clause resolution is in
-    /// progress on the current derivation branch (variant loop check).
+    /// progress on the current derivation branch (variant loop check):
+    /// pushed when it starts, popped by the [`Goal::Exit`] that ends
+    /// its body and residual.
     in_progress: Vec<MolGoal>,
     /// Successful head resolutions per clause index.
     per_rule: Vec<u64>,
@@ -387,11 +397,15 @@ impl Search<'_> {
             self.emitted += 1;
             return Ok(self.opts.max_solutions.is_none_or(|m| self.emitted < m));
         };
+        if matches!(goal, Goal::Exit) {
+            return self.exit(rest, depth, emit);
+        }
         if !self.limits_ok(depth) {
             return Ok(true);
         }
         self.stats.steps += 1;
         match goal {
+            Goal::Exit => unreachable!("exits take no step"),
             Goal::Pred { pred, args } => self.solve_pred(*pred, args, rest, depth, emit),
             Goal::Mol(m) => self.solve_mol(m, rest, depth, emit),
             Goal::Neg(inner) => {
@@ -415,6 +429,21 @@ impl Search<'_> {
         }
     }
 
+    /// Solves `rest`, the continuation of the innermost goal under
+    /// clause resolution, with that goal no longer in progress: a
+    /// variant of it there is a repeat, not a loop.
+    fn exit(
+        &mut self,
+        rest: &[Goal],
+        depth: usize,
+        emit: &mut impl FnMut(&Bindings),
+    ) -> Result<bool, BuiltinError> {
+        let done = self.in_progress.pop();
+        let cont = self.solve(rest, depth, emit);
+        self.in_progress.extend(done);
+        cont
+    }
+
     /// Whether every term of every goal is ground under current bindings.
     fn goals_ground(&self, goals: &[Goal]) -> bool {
         let term_ground = |t: &RTerm| self.bind.resolve(t).is_ground();
@@ -422,6 +451,7 @@ impl Search<'_> {
             Goal::Mol(m) => term_ground(&m.id) && m.specs.iter().all(|(_, v)| term_ground(v)),
             Goal::Pred { args, .. } => args.iter().all(term_ground),
             Goal::Neg(_) => true, // nested negation checked when selected
+            Goal::Exit => true,
         })
     }
 
@@ -455,7 +485,7 @@ impl Search<'_> {
                 args: args.to_vec(),
             };
             let cp = self.bind.checkpoint();
-            let ok = folog::builtins::solve(&goal, &mut self.bind, self.opts.unify)?;
+            let ok = folog::builtins::solve(&goal, &mut self.bind)?;
             let cont = if ok {
                 self.solve(rest, depth, emit)?
             } else {
@@ -495,12 +525,7 @@ impl Search<'_> {
                     let cp = self.bind.checkpoint();
                     self.stats.piece_matches += 1;
                     let ok = args.iter().zip(tuple).all(|(a, &id)| {
-                        unify(
-                            a,
-                            &rterm_of_ground(&self.p.terms, id),
-                            &mut self.bind,
-                            self.opts.unify,
-                        )
+                        unify(a, &rterm_of_ground(&self.p.terms, id), &mut self.bind)
                     });
                     if ok && !self.solve(rest, depth + 1, emit)? {
                         self.bind.rollback(cp);
@@ -528,9 +553,10 @@ impl Search<'_> {
                     self.stats.clause_attempts += 1;
                     let offset = self.next_var;
                     let cp = self.bind.checkpoint();
-                    let ok = args.iter().zip(hargs).all(|(a, h)| {
-                        unify(a, &shift_term(h, offset), &mut self.bind, self.opts.unify)
-                    });
+                    let ok = args
+                        .iter()
+                        .zip(hargs)
+                        .all(|(a, h)| unify(a, &shift_term(h, offset), &mut self.bind));
                     if ok {
                         self.bump_rule(ci);
                         let saved = self.next_var;
@@ -562,11 +588,28 @@ impl Search<'_> {
         emit: &mut impl FnMut(&Bindings),
     ) -> Result<bool, BuiltinError> {
         // (A) The clustered store.
-        if !g.rules_only && !self.solve_mol_store(g, rest, depth, emit)? {
-            return Ok(false);
+        if !g.rules_only {
+            if !self.solve_mol_store(g, rest, depth, emit)? {
+                return Ok(false);
+            }
+            // The store held this very object with the goal's type, so
+            // it took every piece from the store and, through residuals,
+            // from the rules: a head covering the type adds nothing.
+            // (`solve_mol_clauses_inner` skips such heads one by one when
+            // the goal names no object.)
+            if self.stored_with_type(g) {
+                return Ok(true);
+            }
         }
         // (B) Clause heads.
         self.solve_mol_clauses(g, rest, depth, emit)
+    }
+
+    /// Whether `g`'s identity is a ground object the store holds with
+    /// `g`'s type.
+    fn stored_with_type(&self, g: &MolGoal) -> bool {
+        ground_lookup(&self.p.terms, &self.bind.resolve(&g.id))
+            .is_some_and(|o| self.p.objects.has_type(o, g.ty, &self.p.hierarchy))
     }
 
     /// Candidate objects for a molecular goal, via the cheapest index.
@@ -607,8 +650,14 @@ impl Search<'_> {
             }
             return self.p.objects.with_type(g.ty, &self.p.hierarchy);
         }
-        // Ground label value?
-        for (l, v) in &g.specs {
+        // Ground label value? Its posting list holds every object the
+        // store path owes an answer only when the store must supply that
+        // piece: no rule derives its label, or it is the selected (first)
+        // piece, which otherwise a clause head covers.
+        for (k, (l, v)) in g.specs.iter().enumerate() {
+            if k > 0 && self.p.intensional_labels.contains(l) {
+                continue;
+            }
             let rv = self.bind.resolve(v);
             if rv.is_ground() {
                 return match ground_lookup(&self.p.terms, &rv) {
@@ -634,12 +683,7 @@ impl Search<'_> {
         for oid in candidates {
             self.stats.store_candidates += 1;
             let cp = self.bind.checkpoint();
-            if !unify(
-                &g.id,
-                &rterm_of_ground(&self.p.terms, oid),
-                &mut self.bind,
-                self.opts.unify,
-            ) {
+            if !unify(&g.id, &rterm_of_ground(&self.p.terms, oid), &mut self.bind) {
                 self.bind.rollback(cp);
                 continue;
             }
@@ -686,6 +730,7 @@ impl Search<'_> {
                     id: g.id.clone(),
                     specs: residual.clone(),
                     rules_only: true,
+                    skip_clause: g.skip_clause,
                 }));
                 // A fully-typed residual with no pieces is vacuous.
                 if ty_covered && residual.is_empty() {
@@ -706,12 +751,7 @@ impl Search<'_> {
         for v in stored {
             self.stats.piece_matches += 1;
             let cp = self.bind.checkpoint();
-            if unify(
-                value,
-                &rterm_of_ground(&self.p.terms, v),
-                &mut self.bind,
-                self.opts.unify,
-            ) {
+            if unify(value, &rterm_of_ground(&self.p.terms, v), &mut self.bind) {
                 matched_any = true;
                 if !self.cover_store_specs(
                     g,
@@ -732,10 +772,14 @@ impl Search<'_> {
         // Residuate this piece towards the rules, if they could derive it.
         // Pieces whose label is duplicated in the goal (the §5 subset
         // pattern, `children => {X, Y}`) residuate even when matched:
-        // each duplicate may take its value from a different source.
+        // each duplicate may take its value from a different source. So
+        // does an unbound piece: the rules may derive other values.
         let dup = g.specs.iter().filter(|(l, _)| l == label).count() > 1;
         let try_residual = self.p.intensional_labels.contains(label)
-            && (self.opts.residuation == ResiduationMode::Full || !matched_any || dup);
+            && (self.opts.residuation == ResiduationMode::Full
+                || !matched_any
+                || dup
+                || !self.bind.resolve(value).is_ground());
         if try_residual {
             residual.push((*label, value.clone()));
             let cont =
@@ -774,6 +818,7 @@ impl Search<'_> {
                 .map(|(l, v)| (*l, go(v, &self.bind, &mut map)))
                 .collect(),
             rules_only: false,
+            skip_clause: g.skip_clause,
         }
     }
 
@@ -785,8 +830,8 @@ impl Search<'_> {
         emit: &mut impl FnMut(&Bindings),
     ) -> Result<bool, BuiltinError> {
         // Variant loop check: resolving a goal that is a variant of an
-        // ancestor goal currently under clause resolution would unroll
-        // the same derivations forever (e.g. `senior: X :- student:
+        // ancestor goal whose body or residual is being solved would
+        // unroll the same derivations forever (e.g. `senior: X :- student:
         // X[…]` with `senior < student`). Prune it; answers reachable
         // only through such unrolling require the tabled strategy, and
         // the result is reported incomplete whenever pruning fired.
@@ -809,17 +854,22 @@ impl Search<'_> {
         emit: &mut impl FnMut(&Bindings),
     ) -> Result<bool, BuiltinError> {
         for (ci, clause) in self.p.clauses.iter().enumerate() {
+            if g.skip_clause == Some(ci) {
+                continue;
+            }
             for head in &clause.heads {
                 let Goal::Mol(h) = head else { continue };
                 self.stats.clause_attempts += 1;
                 let offset = self.next_var;
                 let cp = self.bind.checkpoint();
-                if !unify(
-                    &g.id,
-                    &shift_term(&h.id, offset),
-                    &mut self.bind,
-                    self.opts.unify,
-                ) {
+                if !unify(&g.id, &shift_term(&h.id, offset), &mut self.bind) {
+                    self.bind.rollback(cp);
+                    continue;
+                }
+                // A head that names a stored object of the goal's type adds
+                // nothing either: the store path's candidates for a typed
+                // goal are the type's whole extent (see `solve_mol`).
+                if !g.rules_only && g.ty != object_type() && self.stored_with_type(g) {
                     self.bind.rollback(cp);
                     continue;
                 }
@@ -847,14 +897,17 @@ impl Search<'_> {
                 let saved = self.next_var;
                 self.next_var += clause.n_vars;
                 let body: Vec<Goal> = clause.body.iter().map(|b| shift_goal(b, offset)).collect();
+                let cover = ClauseCover {
+                    ci,
+                    specs: &h_shifted,
+                    body: &body,
+                };
                 let cont = self.cover_clause_specs(
                     g,
-                    &h_shifted,
-                    ty_covered,
+                    &cover,
                     0,
                     &mut Vec::new(),
-                    &mut 0,
-                    &body,
+                    &mut Covered::default(),
                     rest,
                     depth,
                     emit,
@@ -875,12 +928,10 @@ impl Search<'_> {
     fn cover_clause_specs(
         &mut self,
         g: &MolGoal,
-        h_specs: &[(Symbol, RTerm)],
-        ty_covered: bool,
+        cover: &ClauseCover<'_>,
         i: usize,
         residual: &mut Vec<(Symbol, RTerm)>,
-        covered: &mut usize,
-        body: &[Goal],
+        covered: &mut Covered,
         rest: &[Goal],
         depth: usize,
         emit: &mut impl FnMut(&Bindings),
@@ -889,51 +940,57 @@ impl Search<'_> {
             // A trivially-satisfied `object` type piece is not progress
             // unless the goal is a bare existence check — otherwise a head
             // could "cover" nothing and residuate the same goal forever.
-            let ty_progress = ty_covered && (g.ty != object_type() || g.specs.is_empty());
-            if *covered + usize::from(ty_progress) == 0 {
+            // The head covered the type piece (`solve_mol_clauses_inner`
+            // skips heads that cannot).
+            let ty_progress = g.ty != object_type() || g.specs.is_empty();
+            if covered.pieces + usize::from(ty_progress) == 0 {
                 return Ok(true); // no progress through this head
             }
-            let mut new_goals: Vec<Goal> = Vec::with_capacity(body.len() + rest.len() + 1);
-            new_goals.extend_from_slice(body);
-            if !ty_covered || !residual.is_empty() {
+            let mut new_goals: Vec<Goal> = Vec::with_capacity(cover.body.len() + rest.len() + 2);
+            new_goals.extend_from_slice(cover.body);
+            if !residual.is_empty() {
                 self.stats.residuals += 1;
                 new_goals.push(Goal::Mol(MolGoal {
-                    ty: if ty_covered { object_type() } else { g.ty },
+                    ty: object_type(),
                     id: g.id.clone(),
                     specs: residual.clone(),
-                    rules_only: false,
+                    // A residual of the store's residual stays off the
+                    // store: the store has already offered every value
+                    // it holds for these pieces. It also keeps skipping
+                    // the clause that left them open, unless this head
+                    // left some open itself.
+                    rules_only: g.rules_only,
+                    skip_clause: if covered.reopened > 0 {
+                        Some(cover.ci)
+                    } else {
+                        g.skip_clause
+                    },
                 }));
-                if ty_covered && residual.is_empty() {
-                    new_goals.pop();
-                }
             }
+            new_goals.push(Goal::Exit);
             new_goals.extend_from_slice(rest);
             return self.solve(&new_goals, depth + 1, emit);
         }
         let (label, value) = &g.specs[i];
         let mut matched_any = false;
-        for (hl, hv) in h_specs {
+        // Whether a match bound a variable on either side, so that the
+        // clause body decides the value.
+        let mut open_match = false;
+        let ground = self.bind.resolve(value).is_ground();
+        for (hl, hv) in cover.specs {
             if hl != label {
                 continue;
             }
             self.stats.piece_matches += 1;
             let cp = self.bind.checkpoint();
-            if unify(value, hv, &mut self.bind, self.opts.unify) {
+            let head_open = ground && !self.bind.resolve(hv).is_ground();
+            if unify(value, hv, &mut self.bind) {
                 matched_any = true;
-                *covered += 1;
-                let cont = self.cover_clause_specs(
-                    g,
-                    h_specs,
-                    ty_covered,
-                    i + 1,
-                    residual,
-                    covered,
-                    body,
-                    rest,
-                    depth,
-                    emit,
-                )?;
-                *covered -= 1;
+                open_match |= !ground || head_open;
+                covered.pieces += 1;
+                let cont =
+                    self.cover_clause_specs(g, cover, i + 1, residual, covered, rest, depth, emit)?;
+                covered.pieces -= 1;
                 if !cont {
                     self.bind.rollback(cp);
                     return Ok(false);
@@ -945,28 +1002,46 @@ impl Search<'_> {
         // selected piece — the first label piece of an `object`-typed
         // goal — must be covered by *this* head, never residuated:
         // that is what keeps residuation chains canonical. Duplicated
-        // labels residuate even when matched (see `cover_store_specs`).
+        // labels residuate even when matched (see `cover_store_specs`),
+        // and so does a piece whose match bound a variable: another
+        // source may hold another value, or hold this one where the
+        // clause body fails for it. Under `OnFailure` such a piece goes
+        // towards the other sources only: this clause's own values for
+        // it were all tried above.
         let selectable = i > 0 || g.ty != object_type();
+        let full = self.opts.residuation == ResiduationMode::Full;
         let dup = g.specs.iter().filter(|(l, _)| l == label).count() > 1;
-        if selectable && (self.opts.residuation == ResiduationMode::Full || !matched_any || dup) {
+        let reopened = selectable && open_match && !full && !dup;
+        if selectable && (full || !matched_any || dup || reopened) {
             residual.push((*label, value.clone()));
-            let cont = self.cover_clause_specs(
-                g,
-                h_specs,
-                ty_covered,
-                i + 1,
-                residual,
-                covered,
-                body,
-                rest,
-                depth,
-                emit,
-            )?;
+            covered.reopened += usize::from(reopened);
+            let cont =
+                self.cover_clause_specs(g, cover, i + 1, residual, covered, rest, depth, emit)?;
+            covered.reopened -= usize::from(reopened);
             residual.pop();
             return Ok(cont);
         }
         Ok(true)
     }
+}
+
+/// The clause head a molecular goal is being covered by.
+struct ClauseCover<'a> {
+    /// The clause's index, skipped by a residual of reopened pieces.
+    ci: usize,
+    /// The head's label pieces, shifted into the goal's variables.
+    specs: &'a [(Symbol, RTerm)],
+    /// The clause body, shifted likewise.
+    body: &'a [Goal],
+}
+
+/// Counts kept while covering a goal's label pieces with one head.
+#[derive(Default)]
+struct Covered {
+    /// Pieces the head covers.
+    pieces: usize,
+    /// Pieces the head matched but left to other sources.
+    reopened: usize,
 }
 
 /// Shifts all variables in a goal by `offset`.
@@ -981,6 +1056,7 @@ pub fn shift_goal(g: &Goal, offset: VarId) -> Goal {
                 .map(|(l, v)| (*l, shift_term(v, offset)))
                 .collect(),
             rules_only: m.rules_only,
+            skip_clause: m.skip_clause,
         }),
         Goal::Pred { pred, args } => {
             let shifted = shift_atom(
@@ -996,6 +1072,7 @@ pub fn shift_goal(g: &Goal, offset: VarId) -> Goal {
             }
         }
         Goal::Neg(inner) => Goal::Neg(inner.iter().map(|g| shift_goal(g, offset)).collect()),
+        Goal::Exit => Goal::Exit,
     }
 }
 
@@ -1139,6 +1216,53 @@ mod tests {
         assert_eq!(answers, vec!["L=3,P=id(a, d)"]);
         let all = engine_answers(program, "path: P[src => a, dest => D]");
         assert_eq!(all.len(), 3);
+    }
+
+    #[test]
+    fn open_pieces_take_values_from_every_source() {
+        // A stored value does not hide a rule-derived one...
+        let program = "t1: c1[l1 => c2].\nX[l1 => c3] :- t1: X.";
+        let answers = engine_answers(program, "t1: X[l1 => V]");
+        assert_eq!(answers, vec!["V=c2,X=c1", "V=c3,X=c1"]);
+        // ...nor does the value of the head that covers the type hide
+        // another head's.
+        let program = "t2: c2[l3 => c3].\n\
+                       t3: c2[l1 => c5].\n\
+                       r1: X[m1 => V] :- t2: X[l3 => V].\n\
+                       r2: X[m1 => V] :- t3: X[l1 => V].";
+        let answers = engine_answers(program, "r2: X[m1 => V]");
+        assert_eq!(answers, vec!["V=c3,X=c2", "V=c5,X=c2"]);
+        // ...and a piece a head left open does not lead back to that
+        // head through the store, where the loop check would prune it.
+        let program = "t1: c1[l2 => c1].\n\
+                       r1: X[m1 => V] :- t3: X[l2 => V].\n\
+                       t3: X :- t1: X.";
+        assert_eq!(engine_answers(program, "r1: c1[m1 => U]"), vec!["U=c1"]);
+        // A ground piece a head variable matched is not settled either:
+        // `r1` holds for c5 through the first rule, whose body fails for
+        // `m1 => c2`, which the second rule supplies.
+        let program = "t2: c5[l1 => c4, l2 => c2].\n\
+                       r1: X[m1 => V] :- t2: X[l1 => V].\n\
+                       r2: X[m1 => V] :- t2: X[l2 => V].";
+        assert_eq!(engine_answers(program, "r1: X[m1 => c2]"), vec!["X=c5"]);
+        // A ground piece a rule derives does not pick the candidates of
+        // an `object` goal whose first piece the store holds.
+        let program = "t2: c1[l1 => c3, l2 => c1].\n\
+                       r1: X[m2 => V] :- t2: X[l2 => V].";
+        let answers = engine_answers(program, "object: X[l1 => V, m2 => c1]");
+        assert_eq!(answers, vec!["V=c3,X=c1"]);
+    }
+
+    #[test]
+    fn a_repeat_in_the_continuation_is_no_loop() {
+        // Both rules' bodies resolve `t3: c5` through `t3: X :- t2: X`;
+        // the second does so after the first's body is done.
+        let program = "t2: c5[l1 => a, l2 => b].\n\
+                       t3: X :- t2: X.\n\
+                       r: X[m2 => V] :- t3: X[l1 => V].\n\
+                       r: X[m3 => V] :- t3: X[l2 => V].";
+        let answers = engine_answers(program, "r: c5[m2 => U, m3 => W]");
+        assert_eq!(answers, vec!["U=a,W=b"]);
     }
 
     #[test]

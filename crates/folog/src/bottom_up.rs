@@ -488,11 +488,7 @@ fn holds_ground_builtin(g: &FoAtom) -> Result<bool, EvalError> {
     let mut map = HashMap::new();
     let ra = crate::rterm::ratom_of_fo(g, &mut map, &mut alloc);
     let mut bind = crate::unify::Bindings::new();
-    Ok(crate::builtins::solve(
-        &ra,
-        &mut bind,
-        crate::unify::UnifyOptions::default(),
-    )?)
+    Ok(crate::builtins::solve(&ra, &mut bind)?)
 }
 
 /// Greedy selectivity-based join order for conjunctive query goals:

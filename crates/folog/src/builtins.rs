@@ -10,7 +10,7 @@
 use crate::facts::{instantiate, Env};
 use crate::ground::TermStore;
 use crate::rterm::{RAtom, RTerm};
-use crate::unify::{unify, Bindings, UnifyOptions};
+use crate::unify::{unify, Bindings};
 use clogic_core::symbol::Symbol;
 use clogic_core::term::Const;
 use std::fmt;
@@ -160,19 +160,14 @@ fn compare(op: &str, a: i64, b: i64) -> bool {
 
 /// Solves a built-in goal in the top-down engine. On success the bindings
 /// may be extended; on failure they are unchanged.
-pub fn solve(goal: &RAtom, bind: &mut Bindings, opts: UnifyOptions) -> Result<bool, BuiltinError> {
+pub fn solve(goal: &RAtom, bind: &mut Bindings) -> Result<bool, BuiltinError> {
     let name = goal.pred.as_str();
     match (name, goal.args.len()) {
         ("is", 2) => {
             let Some(v) = numeric(eval_int(&goal.args[1], bind))? else {
                 return Ok(false);
             };
-            Ok(unify(
-                &goal.args[0],
-                &RTerm::Const(Const::Int(v)),
-                bind,
-                opts,
-            ))
+            Ok(unify(&goal.args[0], &RTerm::Const(Const::Int(v)), bind))
         }
         ("<" | ">" | "=<" | ">=" | "=:=" | "=\\=", 2) => {
             let Some(a) = numeric(eval_int(&goal.args[0], bind))? else {
@@ -183,10 +178,10 @@ pub fn solve(goal: &RAtom, bind: &mut Bindings, opts: UnifyOptions) -> Result<bo
             };
             Ok(compare(name, a, b))
         }
-        ("=", 2) => Ok(unify(&goal.args[0], &goal.args[1], bind, opts)),
+        ("=", 2) => Ok(unify(&goal.args[0], &goal.args[1], bind)),
         ("\\=", 2) => {
             let cp = bind.checkpoint();
-            let unifies = unify(&goal.args[0], &goal.args[1], bind, opts);
+            let unifies = unify(&goal.args[0], &goal.args[1], bind);
             bind.rollback(cp);
             Ok(!unifies)
         }
@@ -319,7 +314,7 @@ mod tests {
             pred: sym("is"),
             args: vec![RTerm::Var(0), RTerm::Const(Const::Sym(sym("a")))],
         };
-        assert_eq!(solve(&goal, &mut b2, UnifyOptions::default()), Ok(false));
+        assert_eq!(solve(&goal, &mut b2), Ok(false));
     }
 
     #[test]
@@ -329,14 +324,14 @@ mod tests {
             pred: sym("is"),
             args: vec![RTerm::Var(0), plus(int(2), int(3))],
         };
-        assert_eq!(solve(&goal, &mut b, UnifyOptions::default()), Ok(true));
+        assert_eq!(solve(&goal, &mut b), Ok(true));
         assert_eq!(b.resolve(&RTerm::Var(0)), int(5));
         // and checks when already bound
         let goal2 = RAtom {
             pred: sym("is"),
             args: vec![int(6), plus(int(2), int(3))],
         };
-        assert_eq!(solve(&goal2, &mut b, UnifyOptions::default()), Ok(false));
+        assert_eq!(solve(&goal2, &mut b), Ok(false));
     }
 
     #[test]
@@ -346,34 +341,13 @@ mod tests {
             pred: sym(p),
             args: vec![int(x), int(y)],
         };
-        assert_eq!(
-            solve(&mk("<", 1, 2), &mut b, UnifyOptions::default()),
-            Ok(true)
-        );
-        assert_eq!(
-            solve(&mk("<", 2, 2), &mut b, UnifyOptions::default()),
-            Ok(false)
-        );
-        assert_eq!(
-            solve(&mk("=<", 2, 2), &mut b, UnifyOptions::default()),
-            Ok(true)
-        );
-        assert_eq!(
-            solve(&mk(">", 3, 2), &mut b, UnifyOptions::default()),
-            Ok(true)
-        );
-        assert_eq!(
-            solve(&mk(">=", 3, 4), &mut b, UnifyOptions::default()),
-            Ok(false)
-        );
-        assert_eq!(
-            solve(&mk("=:=", 4, 4), &mut b, UnifyOptions::default()),
-            Ok(true)
-        );
-        assert_eq!(
-            solve(&mk("=\\=", 4, 4), &mut b, UnifyOptions::default()),
-            Ok(false)
-        );
+        assert_eq!(solve(&mk("<", 1, 2), &mut b), Ok(true));
+        assert_eq!(solve(&mk("<", 2, 2), &mut b), Ok(false));
+        assert_eq!(solve(&mk("=<", 2, 2), &mut b), Ok(true));
+        assert_eq!(solve(&mk(">", 3, 2), &mut b), Ok(true));
+        assert_eq!(solve(&mk(">=", 3, 4), &mut b), Ok(false));
+        assert_eq!(solve(&mk("=:=", 4, 4), &mut b), Ok(true));
+        assert_eq!(solve(&mk("=\\=", 4, 4), &mut b), Ok(false));
     }
 
     #[test]
@@ -383,20 +357,20 @@ mod tests {
             pred: sym("="),
             args: vec![RTerm::Var(0), int(7)],
         };
-        assert_eq!(solve(&eq, &mut b, UnifyOptions::default()), Ok(true));
+        assert_eq!(solve(&eq, &mut b), Ok(true));
         assert_eq!(b.resolve(&RTerm::Var(0)), int(7));
         let neq = RAtom {
             pred: sym("\\="),
             args: vec![RTerm::Var(1), int(7)],
         };
         // var unifies with anything ⇒ \= fails, and leaves no binding
-        assert_eq!(solve(&neq, &mut b, UnifyOptions::default()), Ok(false));
+        assert_eq!(solve(&neq, &mut b), Ok(false));
         assert_eq!(b.lookup(1), None);
         let neq2 = RAtom {
             pred: sym("\\="),
             args: vec![int(6), int(7)],
         };
-        assert_eq!(solve(&neq2, &mut b, UnifyOptions::default()), Ok(true));
+        assert_eq!(solve(&neq2, &mut b), Ok(true));
     }
 
     #[test]
@@ -406,17 +380,17 @@ mod tests {
             pred: sym("=="),
             args: vec![RTerm::Var(0), RTerm::Var(0)],
         };
-        assert_eq!(solve(&a1, &mut b, UnifyOptions::default()), Ok(true));
+        assert_eq!(solve(&a1, &mut b), Ok(true));
         let a2 = RAtom {
             pred: sym("=="),
             args: vec![RTerm::Var(0), RTerm::Var(1)],
         };
-        assert_eq!(solve(&a2, &mut b, UnifyOptions::default()), Ok(false));
+        assert_eq!(solve(&a2, &mut b), Ok(false));
         let a3 = RAtom {
             pred: sym("\\=="),
             args: vec![RTerm::Var(0), RTerm::Var(1)],
         };
-        assert_eq!(solve(&a3, &mut b, UnifyOptions::default()), Ok(true));
+        assert_eq!(solve(&a3, &mut b), Ok(true));
     }
 
     #[test]
@@ -427,7 +401,7 @@ mod tests {
             args: vec![int(1)],
         };
         assert!(matches!(
-            solve(&bad, &mut b, UnifyOptions::default()),
+            solve(&bad, &mut b),
             Err(BuiltinError::Arity(_, 1))
         ));
     }

@@ -46,7 +46,7 @@ pub use program::{ClauseOverlay, ClauseView, CompiledProgram, Rule};
 pub use retract::{retract_facts, RetractStats};
 pub use rterm::{RAtom, RTerm};
 pub use sld::{SldEngine, SldOptions, SldResult, SldStats};
-pub use unify::{mgu, unify, Bindings, UnifyOptions};
+pub use unify::{mgu, unify, Bindings};
 
 /// The distinguished top-type symbol name (see `clogic_core::hierarchy`).
 pub const OBJECT_TYPE_NAME: &str = clogic_core::hierarchy::OBJECT_TYPE;

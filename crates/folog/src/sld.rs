@@ -11,7 +11,7 @@ use crate::budget::{Budget, BudgetMeter, Degradation, TripKind};
 use crate::builtins::BuiltinError;
 use crate::program::{arg_key, shift_atom, ArgKey, ClauseView, CompiledProgram};
 use crate::rterm::{RAtom, RTerm, VarAlloc, VarId};
-use crate::unify::{unify_atoms, Bindings, UnifyOptions};
+use crate::unify::{unify_atoms, Bindings};
 use clogic_core::fol::{FoAtom, FoTerm};
 use clogic_core::symbol::Symbol;
 use std::collections::{BTreeMap, HashMap};
@@ -28,8 +28,6 @@ pub struct SldOptions {
     pub max_steps: Option<u64>,
     /// Stop after this many solutions; `None` = all.
     pub max_solutions: Option<usize>,
-    /// Unification options.
-    pub unify: UnifyOptions,
     /// Shared resource ceilings (deadline, steps, memory, cancellation).
     pub budget: Budget,
     /// Observability handles; counter deltas are flushed once per solve,
@@ -43,7 +41,6 @@ impl Default for SldOptions {
             max_depth: Some(10_000),
             max_steps: Some(10_000_000),
             max_solutions: None,
-            unify: UnifyOptions::default(),
             budget: Budget::unlimited(),
             obs: clogic_obs::Obs::default(),
         }
@@ -296,7 +293,7 @@ impl<P: ClauseView> Search<'_, P> {
         };
         if self.program.is_builtin(goal.pred) {
             let cp = self.bind.checkpoint();
-            let ok = crate::builtins::solve(goal, &mut self.bind, self.opts.unify)?;
+            let ok = crate::builtins::solve(goal, &mut self.bind)?;
             let cont = if ok {
                 self.solve(rest, depth, emit)?
             } else {
@@ -332,7 +329,7 @@ impl<P: ClauseView> Search<'_, P> {
             let head = shift_atom(&rule.head, offset);
             let cp = self.bind.checkpoint();
             self.stats.unify_attempts += 1;
-            if unify_atoms(goal, &head, &mut self.bind, self.opts.unify) {
+            if unify_atoms(goal, &head, &mut self.bind) {
                 self.stats.unify_successes += 1;
                 if self.per_rule.len() <= ci {
                     self.per_rule.resize(ci + 1, 0);

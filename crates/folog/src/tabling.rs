@@ -16,7 +16,7 @@ use crate::builtins::BuiltinError;
 use crate::program::{shift_atom, ClauseOverlay, ClauseView, CompiledProgram};
 use crate::rterm::{RAtom, RTerm, VarId};
 use crate::sld::fo_of_rterm;
-use crate::unify::{unify_atoms, Bindings, UnifyOptions};
+use crate::unify::{unify_atoms, Bindings};
 use clogic_core::fol::{FoAtom, FoTerm};
 use clogic_core::symbol::Symbol;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -32,8 +32,6 @@ pub struct TablingOptions {
     /// exceeds this, if set — the guard against programs with genuinely
     /// infinite answer sets (e.g. unbounded path lengths on a cycle).
     pub max_answers: Option<usize>,
-    /// Unification options.
-    pub unify: UnifyOptions,
     /// Shared resource ceilings (deadline, steps, memory, cancellation).
     pub budget: Budget,
     /// Observability handles; counter deltas are flushed once per solve,
@@ -45,7 +43,6 @@ impl Default for TablingOptions {
     fn default() -> Self {
         TablingOptions {
             max_answers: Some(1_000_000),
-            unify: UnifyOptions::default(),
             budget: Budget::unlimited(),
             obs: clogic_obs::Obs::default(),
         }
@@ -405,7 +402,7 @@ impl<'p, P: ClauseView> TabledEngine<'p, P> {
             space.stats.clause_activations += 1;
             let mut bind = Bindings::new();
             let head = shift_atom(&rule.head, max_var);
-            if !unify_atoms(key, &head, &mut bind, self.opts.unify) {
+            if !unify_atoms(key, &head, &mut bind) {
                 continue;
             }
             let body: Vec<RAtom> = rule.body.iter().map(|b| shift_atom(b, max_var)).collect();
@@ -446,7 +443,7 @@ impl<'p, P: ClauseView> TabledEngine<'p, P> {
         let goal = &body[i];
         if program.is_builtin(goal.pred) {
             let cp = bind.checkpoint();
-            let ok = crate::builtins::solve(goal, bind, self.opts.unify)?;
+            let ok = crate::builtins::solve(goal, bind)?;
             let mut changed = false;
             if ok {
                 changed = self.solve_body(program, key, ci, body, i + 1, bind, next_var, space)?;
@@ -480,7 +477,7 @@ impl<'p, P: ClauseView> TabledEngine<'p, P> {
             for v in &bump {
                 local_next = local_next.max(v + 1);
             }
-            if unify_atoms(goal, &shifted, bind, self.opts.unify) {
+            if unify_atoms(goal, &shifted, bind) {
                 let saved = *next_var;
                 *next_var = local_next;
                 changed |=

@@ -97,27 +97,16 @@ impl Bindings {
     }
 }
 
-/// Unification options.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UnifyOptions {
-    /// Perform the occurs check (sound but slower; Prolog tradition skips
-    /// it, and the engines here default to performing it because derived
-    /// object identities are compared structurally).
-    pub occurs_check: bool,
-}
-
-impl Default for UnifyOptions {
-    fn default() -> Self {
-        UnifyOptions { occurs_check: true }
-    }
-}
-
 /// Unifies `a` and `b` under `bind`, extending it on success. On failure
 /// the store is left *unchanged* (partial bindings are rolled back).
 /// Returns whether unification succeeded.
-pub fn unify(a: &RTerm, b: &RTerm, bind: &mut Bindings, opts: UnifyOptions) -> bool {
+///
+/// The occurs check is always on: Prolog tradition skips it, but derived
+/// object identities are compared structurally, so a cyclic binding
+/// would be unsound here.
+pub fn unify(a: &RTerm, b: &RTerm, bind: &mut Bindings) -> bool {
     let cp = bind.checkpoint();
-    if unify_inner(a, b, bind, opts) {
+    if unify_inner(a, b, bind) {
         true
     } else {
         bind.rollback(cp);
@@ -125,13 +114,13 @@ pub fn unify(a: &RTerm, b: &RTerm, bind: &mut Bindings, opts: UnifyOptions) -> b
     }
 }
 
-fn unify_inner(a: &RTerm, b: &RTerm, bind: &mut Bindings, opts: UnifyOptions) -> bool {
+fn unify_inner(a: &RTerm, b: &RTerm, bind: &mut Bindings) -> bool {
     let wa = bind.walk(a).clone();
     let wb = bind.walk(b).clone();
     match (wa, wb) {
         (RTerm::Var(x), RTerm::Var(y)) if x == y => true,
         (RTerm::Var(x), t) | (t, RTerm::Var(x)) => {
-            if opts.occurs_check && bind.occurs(x, &t) {
+            if bind.occurs(x, &t) {
                 return false;
             }
             bind.bind(x, t);
@@ -141,28 +130,20 @@ fn unify_inner(a: &RTerm, b: &RTerm, bind: &mut Bindings, opts: UnifyOptions) ->
         (RTerm::App(f, fa), RTerm::App(g, ga)) => {
             f == g
                 && fa.len() == ga.len()
-                && fa
-                    .iter()
-                    .zip(&ga)
-                    .all(|(x, y)| unify_inner(x, y, bind, opts))
+                && fa.iter().zip(&ga).all(|(x, y)| unify_inner(x, y, bind))
         }
         _ => false,
     }
 }
 
 /// Unifies two atoms (same predicate, same arity, arguments pairwise).
-pub fn unify_atoms(
-    a: &crate::rterm::RAtom,
-    b: &crate::rterm::RAtom,
-    bind: &mut Bindings,
-    opts: UnifyOptions,
-) -> bool {
+pub fn unify_atoms(a: &crate::rterm::RAtom, b: &crate::rterm::RAtom, bind: &mut Bindings) -> bool {
     if a.pred != b.pred || a.args.len() != b.args.len() {
         return false;
     }
     let cp = bind.checkpoint();
     for (x, y) in a.args.iter().zip(&b.args) {
-        if !unify_inner(x, y, bind, opts) {
+        if !unify_inner(x, y, bind) {
             bind.rollback(cp);
             return false;
         }
@@ -173,9 +154,9 @@ pub fn unify_atoms(
 /// Computes the most general unifier as an explicit map for callers that
 /// want a substitution value rather than a mutated store. Returns `None`
 /// on failure.
-pub fn mgu(a: &RTerm, b: &RTerm, opts: UnifyOptions) -> Option<HashMap<VarId, RTerm>> {
+pub fn mgu(a: &RTerm, b: &RTerm) -> Option<HashMap<VarId, RTerm>> {
     let mut bind = Bindings::new();
-    if !unify(a, b, &mut bind, opts) {
+    if !unify(a, b, &mut bind) {
         return None;
     }
     let mut vars = Vec::new();
@@ -208,12 +189,7 @@ mod tests {
     #[test]
     fn unify_var_with_const() {
         let mut b = Bindings::new();
-        assert!(unify(
-            &RTerm::Var(0),
-            &c("a"),
-            &mut b,
-            UnifyOptions::default()
-        ));
+        assert!(unify(&RTerm::Var(0), &c("a"), &mut b));
         assert_eq!(b.resolve(&RTerm::Var(0)), c("a"));
     }
 
@@ -223,25 +199,15 @@ mod tests {
         // f(X, a) with f(b, X) fails (X=b then a≠b) and must roll back.
         let t1 = f("f", vec![RTerm::Var(0), c("a")]);
         let t2 = f("f", vec![c("b"), RTerm::Var(0)]);
-        assert!(!unify(&t1, &t2, &mut b, UnifyOptions::default()));
+        assert!(!unify(&t1, &t2, &mut b));
         assert_eq!(b.lookup(0), None);
     }
 
     #[test]
     fn unify_chains() {
         let mut b = Bindings::new();
-        assert!(unify(
-            &RTerm::Var(0),
-            &RTerm::Var(1),
-            &mut b,
-            UnifyOptions::default()
-        ));
-        assert!(unify(
-            &RTerm::Var(1),
-            &c("a"),
-            &mut b,
-            UnifyOptions::default()
-        ));
+        assert!(unify(&RTerm::Var(0), &RTerm::Var(1), &mut b));
+        assert!(unify(&RTerm::Var(1), &c("a"), &mut b));
         assert_eq!(b.resolve(&RTerm::Var(0)), c("a"));
     }
 
@@ -249,17 +215,7 @@ mod tests {
     fn occurs_check_rejects_cyclic() {
         let mut b = Bindings::new();
         let t = f("f", vec![RTerm::Var(0)]);
-        assert!(!unify(&RTerm::Var(0), &t, &mut b, UnifyOptions::default()));
-        // without occurs check it "succeeds" (building a rational term)
-        let mut b2 = Bindings::new();
-        assert!(unify(
-            &RTerm::Var(0),
-            &t,
-            &mut b2,
-            UnifyOptions {
-                occurs_check: false
-            }
-        ));
+        assert!(!unify(&RTerm::Var(0), &t, &mut b));
     }
 
     #[test]
@@ -267,7 +223,7 @@ mod tests {
         let mut b = Bindings::new();
         let t1 = f("id", vec![RTerm::Var(0), c("b")]);
         let t2 = f("id", vec![c("a"), RTerm::Var(1)]);
-        assert!(unify(&t1, &t2, &mut b, UnifyOptions::default()));
+        assert!(unify(&t1, &t2, &mut b));
         assert_eq!(b.resolve(&t1), f("id", vec![c("a"), c("b")]));
         assert_eq!(b.resolve(&t2), f("id", vec![c("a"), c("b")]));
     }
@@ -275,24 +231,13 @@ mod tests {
     #[test]
     fn functor_and_arity_mismatch() {
         let mut b = Bindings::new();
-        assert!(!unify(
-            &f("f", vec![c("a")]),
-            &f("g", vec![c("a")]),
-            &mut b,
-            UnifyOptions::default()
-        ));
+        assert!(!unify(&f("f", vec![c("a")]), &f("g", vec![c("a")]), &mut b));
         assert!(!unify(
             &f("f", vec![c("a")]),
             &f("f", vec![c("a"), c("b")]),
-            &mut b,
-            UnifyOptions::default()
+            &mut b
         ));
-        assert!(!unify(
-            &c("a"),
-            &f("f", vec![c("a")]),
-            &mut b,
-            UnifyOptions::default()
-        ));
+        assert!(!unify(&c("a"), &f("f", vec![c("a")]), &mut b));
     }
 
     #[test]
@@ -311,10 +256,10 @@ mod tests {
     fn mgu_as_map() {
         let t1 = f("f", vec![RTerm::Var(0), c("b")]);
         let t2 = f("f", vec![c("a"), RTerm::Var(1)]);
-        let m = mgu(&t1, &t2, UnifyOptions::default()).unwrap();
+        let m = mgu(&t1, &t2).unwrap();
         assert_eq!(m.get(&0), Some(&c("a")));
         assert_eq!(m.get(&1), Some(&c("b")));
-        assert!(mgu(&c("a"), &c("b"), UnifyOptions::default()).is_none());
+        assert!(mgu(&c("a"), &c("b")).is_none());
     }
 
     #[test]
@@ -323,7 +268,7 @@ mod tests {
         let t1 = f("f", vec![RTerm::Var(0), RTerm::Var(0)]);
         let t2 = f("f", vec![RTerm::Var(1), c("k")]);
         let mut b = Bindings::new();
-        assert!(unify(&t1, &t2, &mut b, UnifyOptions::default()));
+        assert!(unify(&t1, &t2, &mut b));
         let once = b.resolve(&t1);
         let twice = b.resolve(&once);
         assert_eq!(once, twice);
@@ -342,20 +287,20 @@ mod tests {
             pred: sym("q"),
             args: vec![c("a")],
         };
-        assert!(!unify_atoms(&a1, &a2, &mut b, UnifyOptions::default()));
+        assert!(!unify_atoms(&a1, &a2, &mut b));
         let a3 = RAtom {
             pred: sym("p"),
             args: vec![c("a")],
         };
-        assert!(unify_atoms(&a1, &a3, &mut b, UnifyOptions::default()));
+        assert!(unify_atoms(&a1, &a3, &mut b));
         assert_eq!(b.resolve(&RTerm::Var(0)), c("a"));
     }
 
     #[test]
     fn bind_count_tracks_operations() {
         let mut b = Bindings::new();
-        unify(&RTerm::Var(0), &c("a"), &mut b, UnifyOptions::default());
-        unify(&RTerm::Var(1), &c("b"), &mut b, UnifyOptions::default());
+        unify(&RTerm::Var(0), &c("a"), &mut b);
+        unify(&RTerm::Var(1), &c("b"), &mut b);
         assert_eq!(b.bind_count, 2);
     }
 }
@@ -397,7 +342,7 @@ mod prop_tests {
         #[test]
         fn unifier_unifies(a in rterm(), b in rterm()) {
             let mut bind = Bindings::new();
-            if unify(&a, &b, &mut bind, UnifyOptions::default()) {
+            if unify(&a, &b, &mut bind) {
                 prop_assert_eq!(apply(&bind, &a), apply(&bind, &b));
             }
         }
@@ -407,8 +352,8 @@ mod prop_tests {
         fn unification_symmetry(a in rterm(), b in rterm()) {
             let mut b1 = Bindings::new();
             let mut b2 = Bindings::new();
-            let r1 = unify(&a, &b, &mut b1, UnifyOptions::default());
-            let r2 = unify(&b, &a, &mut b2, UnifyOptions::default());
+            let r1 = unify(&a, &b, &mut b1);
+            let r2 = unify(&b, &a, &mut b2);
             prop_assert_eq!(r1, r2);
             if !r1 {
                 for v in 0..8 {
@@ -422,7 +367,7 @@ mod prop_tests {
         #[test]
         fn substitution_idempotent(a in rterm(), b in rterm()) {
             let mut bind = Bindings::new();
-            if unify(&a, &b, &mut bind, UnifyOptions::default()) {
+            if unify(&a, &b, &mut bind) {
                 let once = apply(&bind, &a);
                 prop_assert_eq!(apply(&bind, &once), once.clone());
             }
@@ -433,7 +378,7 @@ mod prop_tests {
         #[test]
         fn self_unification(a in rterm()) {
             let mut bind = Bindings::new();
-            prop_assert!(unify(&a, &a, &mut bind, UnifyOptions::default()));
+            prop_assert!(unify(&a, &a, &mut bind));
             prop_assert_eq!(apply(&bind, &a), a.clone());
         }
 
@@ -443,7 +388,7 @@ mod prop_tests {
         #[test]
         fn occurs_check_soundness(a in rterm(), b in rterm()) {
             let mut bind = Bindings::new();
-            if unify(&a, &b, &mut bind, UnifyOptions::default()) {
+            if unify(&a, &b, &mut bind) {
                 // resolve() recursion would overflow on a cycle; a size
                 // bound proxies for finiteness.
                 let r = apply(&bind, &a);
@@ -455,11 +400,11 @@ mod prop_tests {
         #[test]
         fn rollback_restores(a in rterm(), b in rterm(), c in rterm(), d in rterm()) {
             let mut bind = Bindings::new();
-            let _ = unify(&a, &b, &mut bind, UnifyOptions::default());
+            let _ = unify(&a, &b, &mut bind);
             let snapshot: Vec<Option<RTerm>> =
                 (0..8).map(|v| bind.lookup(v).cloned()).collect();
             let cp = bind.checkpoint();
-            let _ = unify(&c, &d, &mut bind, UnifyOptions::default());
+            let _ = unify(&c, &d, &mut bind);
             bind.rollback(cp);
             for v in 0..8u32 {
                 prop_assert_eq!(bind.lookup(v).cloned(), snapshot[v as usize].clone());
@@ -470,8 +415,8 @@ mod prop_tests {
         #[test]
         fn mgu_agrees_with_unify(a in rterm(), b in rterm()) {
             let mut bind = Bindings::new();
-            let ok = unify(&a, &b, &mut bind, UnifyOptions::default());
-            prop_assert_eq!(mgu(&a, &b, UnifyOptions::default()).is_some(), ok);
+            let ok = unify(&a, &b, &mut bind);
+            prop_assert_eq!(mgu(&a, &b).is_some(), ok);
         }
     }
 }

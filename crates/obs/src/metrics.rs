@@ -145,44 +145,6 @@ pub struct HistogramSnapshot {
     pub sum: u64,
 }
 
-impl HistogramSnapshot {
-    /// An estimate of the `q`-quantile (`0.0 ..= 1.0`): the quantile
-    /// sample's log₂ bucket is found by rank, then the estimate is
-    /// **linearly interpolated** between the bucket's edges by the
-    /// rank's position among the bucket's samples. Distinct quantiles
-    /// landing in the same (wide) bucket therefore still come out
-    /// distinct — p50/p95/p99 of a distribution concentrated in one
-    /// multi-second bucket no longer collapse onto the bucket's upper
-    /// edge. The estimate is clamped below the bucket's exclusive upper
-    /// edge, so it never exceeds the true value by more than the bucket
-    /// width. Returns `None` for an empty histogram.
-    pub fn percentile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        // Rank of the quantile sample, 1-based, clamped into range.
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if seen + n >= rank {
-                // Bucket i covers [lo, hi) = [2^i, 2^(i+1)), except
-                // bucket 0 which also takes 0. `hi` is computed in f64
-                // so the top bucket (hi = 2^64) cannot overflow.
-                let lo = if i == 0 { 0.0 } else { (1u64 << i) as f64 };
-                let hi = (i as f64 + 1.0).exp2();
-                let frac = (rank - seen) as f64 / n as f64;
-                let est = (lo + frac * (hi - lo)).min(hi - 1.0);
-                return Some(est.min(u64::MAX as f64) as u64);
-            }
-            seen += n;
-        }
-        None
-    }
-}
-
 enum Instrument {
     Counter(Counter),
     Gauge(Gauge),
@@ -463,82 +425,6 @@ mod tests {
         let r = Registry::new();
         r.gauge("x");
         r.counter("x");
-    }
-
-    #[test]
-    fn percentiles_walk_log2_buckets() {
-        let r = Registry::new();
-        let h = r.histogram("lat.us");
-        assert_eq!(h.read().percentile(0.5), None, "empty histogram");
-        // 90 samples at 3µs (bucket 1: [2,4)), 10 at 1000µs (bucket 9:
-        // [512,1024)).
-        for _ in 0..90 {
-            h.observe(3);
-        }
-        for _ in 0..10 {
-            h.observe(1000);
-        }
-        let snap = h.read();
-        // p50 and p90 land in the 3µs bucket [2, 4): interpolated by
-        // rank within the bucket, clamped below the exclusive edge.
-        assert_eq!(snap.percentile(0.5), Some(3));
-        assert_eq!(snap.percentile(0.9), Some(3));
-        // p95 and p99 land in the 1000µs bucket [512, 1024) at ranks 5
-        // and 9 of its 10 samples: distinct interpolated estimates, not
-        // a shared upper edge.
-        assert_eq!(snap.percentile(0.95), Some(768));
-        assert_eq!(snap.percentile(0.99), Some(972));
-        // Quantile 0 is the minimum's bucket; 1.0 clamps to the
-        // maximum bucket's exclusive edge.
-        assert_eq!(snap.percentile(0.0), Some(2));
-        assert_eq!(snap.percentile(1.0), Some(1023));
-    }
-
-    #[test]
-    fn percentiles_interpolate_within_one_wide_bucket() {
-        // Every sample in one wide bucket (~28s queue waits, all in
-        // [2^24, 2^25) µs) used to report p50 = p95 = p99 = 33554431.
-        // Interpolation keeps them apart.
-        let r = Registry::new();
-        let h = r.histogram("wait.us");
-        for _ in 0..100 {
-            h.observe(28_000_000);
-        }
-        let snap = h.read();
-        let (p50, p95, p99) = (
-            snap.percentile(0.50).unwrap(),
-            snap.percentile(0.95).unwrap(),
-            snap.percentile(0.99).unwrap(),
-        );
-        assert!(p50 < p95 && p95 < p99, "{p50} {p95} {p99}");
-        let (lo, hi) = (1u64 << 24, 1u64 << 25);
-        for p in [p50, p95, p99] {
-            assert!(p >= lo && p < hi, "{p} outside [{lo}, {hi})");
-        }
-    }
-
-    #[test]
-    fn percentiles_are_sane_at_both_bucket_extremes() {
-        // Bottom bucket: 0 and 1 both land in bucket 0, whose edges are
-        // [0, 2); estimates stay inside it.
-        let r = Registry::new();
-        let h = r.histogram("lo");
-        h.observe(0);
-        h.observe(1);
-        let snap = h.read();
-        assert_eq!(snap.percentile(0.0), Some(1));
-        assert!(snap.percentile(1.0).unwrap() < 2);
-
-        // Top bucket: u64::MAX lands in bucket 63 ([2^63, 2^64));
-        // interpolation must neither overflow nor exceed u64::MAX.
-        let h = r.histogram("hi");
-        h.observe(u64::MAX);
-        h.observe(u64::MAX);
-        let snap = h.read();
-        for q in [0.0, 0.5, 1.0] {
-            let p = snap.percentile(q).unwrap();
-            assert!(p >= 1u64 << 63, "q={q}: {p}");
-        }
     }
 
     #[test]

@@ -133,6 +133,42 @@ impl From<SessionError> for ServeError {
     }
 }
 
+/// Why a serving layer's snapshot cell always holds a snapshot:
+/// [`Server::start`] and the manager publish before any serving handle
+/// shares the cell, and a session clears only a cell nobody shares.
+pub(crate) const PUBLISHED: &str =
+    "a shared snapshot cell always holds a snapshot: it is published before it is shared, \
+     and a session clears only an unshared cell";
+
+/// The one write path behind [`Server::load`], [`Server::retract`] and
+/// their [`SessionManager`] counterparts: runs `op`; keeps a
+/// persistence failure that came after the epoch advanced as the
+/// report's `store_error`, counted in `persist_failures`; then
+/// republishes with [`Session::prepare`]. Any other error leaves the
+/// session unchanged and is returned.
+pub(crate) fn write(
+    session: &mut Session,
+    obs: &Obs,
+    persist_failures: &str,
+    op: impl FnOnce(&mut Session) -> Result<(), SessionError>,
+) -> Result<LoadReport, ServeError> {
+    let epoch_before = session.epoch();
+    let store_error = match op(session) {
+        Ok(()) => None,
+        Err(SessionError::Store(e)) if session.epoch() > epoch_before => {
+            obs.metrics.counter(persist_failures).inc();
+            Some(e)
+        }
+        Err(e) => return Err(ServeError::Session(e)),
+    };
+    session.prepare()?;
+    Ok(LoadReport {
+        epoch: session.epoch(),
+        store_error,
+        breaker_open: session.persistence_breaker_open(),
+    })
+}
+
 /// What [`Server::load`] did, including how persistence fared.
 #[derive(Debug)]
 pub struct LoadReport {
@@ -176,8 +212,8 @@ struct Job {
 }
 
 struct Shared {
-    /// The session, taken only by **writers** (loads, maintenance,
-    /// prepare escalation). The query path never touches it.
+    /// The session, taken only by **writers** (loads, retractions,
+    /// maintenance). The query path never touches it.
     session: Mutex<Session>,
     /// The session's snapshot publication cell: workers read the latest
     /// published [`SessionSnapshot`] from here, lock-free with respect
@@ -301,22 +337,9 @@ impl Server {
     /// session errors (which leave the session unchanged) are returned
     /// as errors.
     pub fn load(&self, src: &str) -> Result<LoadReport, ServeError> {
-        let shared = &self.shared;
-        let mut session = shared.lock_session();
-        let epoch_before = session.epoch();
-        let store_error = match session.load(src) {
-            Ok(()) => None,
-            Err(SessionError::Store(e)) if session.epoch() > epoch_before => {
-                shared.obs.metrics.counter("serve.load.persist_failures").inc();
-                Some(e)
-            }
-            Err(e) => return Err(ServeError::Session(e)),
-        };
-        session.prepare()?;
-        Ok(LoadReport {
-            epoch: session.epoch(),
-            store_error,
-            breaker_open: session.persistence_breaker_open(),
+        let mut session = self.shared.lock_session();
+        write(&mut session, &self.shared.obs, "serve.load.persist_failures", |s| {
+            s.load(src)
         })
     }
 
@@ -330,26 +353,9 @@ impl Server {
     /// — including [`SessionError::NoSuchClause`] — leave the session
     /// unchanged and are returned.
     pub fn retract(&self, src: &str) -> Result<LoadReport, ServeError> {
-        let shared = &self.shared;
-        let mut session = shared.lock_session();
-        let epoch_before = session.epoch();
-        let store_error = match session.retract(src) {
-            Ok(()) => None,
-            Err(SessionError::Store(e)) if session.epoch() > epoch_before => {
-                shared
-                    .obs
-                    .metrics
-                    .counter("serve.retract.persist_failures")
-                    .inc();
-                Some(e)
-            }
-            Err(e) => return Err(ServeError::Session(e)),
-        };
-        session.prepare()?;
-        Ok(LoadReport {
-            epoch: session.epoch(),
-            store_error,
-            breaker_open: session.persistence_breaker_open(),
+        let mut session = self.shared.lock_session();
+        write(&mut session, &self.shared.obs, "serve.retract.persist_failures", |s| {
+            s.retract(src)
         })
     }
 
@@ -366,13 +372,13 @@ impl Server {
     /// Whether the session's persistence circuit breaker is currently
     /// open (see [`RetryingStorage`]), as captured by the last published
     /// snapshot — answering does not touch the session lock, so status
-    /// endpoints stay responsive mid-load. Falls back to asking the
-    /// session when nothing has been published yet.
+    /// endpoints stay responsive mid-load.
     pub fn breaker_open(&self) -> bool {
-        match self.shared.snapshots.load() {
-            Some(snap) => snap.breaker_open(),
-            None => self.shared.lock_session().persistence_breaker_open(),
-        }
+        self.shared
+            .snapshots
+            .load()
+            .expect(PUBLISHED)
+            .breaker_open()
     }
 
     /// The server's observability handle (shared with the session).
@@ -464,17 +470,7 @@ fn run_job(shared: &Shared, job: &Job, extra: &Budget) -> Result<Answers, ServeE
     // entirely from it. A load in progress keeps the previous snapshot
     // serving — queries never wait on the writer, and the snapshot's
     // cross-strategy answer cache absorbs repeats.
-    let snap = match shared.snapshots.load() {
-        Some(snap) => snap,
-        None => {
-            // Nothing published yet (e.g. the session was mutated
-            // through `with_session` without a `prepare`): escalate once
-            // to the writer, then pin what it published.
-            shared.obs.metrics.counter("serve.prepare_escalations").inc();
-            shared.lock_session().prepare()?;
-            shared.snapshots.load().expect("prepare always publishes")
-        }
-    };
+    let snap = shared.snapshots.load().expect(PUBLISHED);
     answer_from(shared, &snap, job, extra)
 }
 

@@ -39,7 +39,7 @@
 //! its [`LoadReport`], exactly the single-session `Server` contract)
 //! while neighbors on healthy storage see zero retries and zero sheds.
 
-use crate::{LoadReport, ServeError};
+use crate::{write, LoadReport, ServeError, PUBLISHED};
 use clogic::{Answers, Session, SessionError, SessionOptions, SnapshotCell, Strategy};
 use clogic_obs::{Counter, Obs};
 use clogic_store::{RetryPolicy, RetryingStorage, Sleeper, Storage, StoreError};
@@ -334,20 +334,8 @@ impl SessionManager {
     pub fn load(&self, name: &str, src: &str) -> Result<LoadReport, ServeError> {
         let arc = self.open(name)?;
         let mut session = arc.lock().unwrap_or_else(|e| e.into_inner());
-        let epoch_before = session.epoch();
-        let store_error = match session.load(src) {
-            Ok(()) => None,
-            Err(SessionError::Store(e)) if session.epoch() > epoch_before => {
-                self.obs.metrics.counter("manager.persist_failures").inc();
-                Some(e)
-            }
-            Err(e) => return Err(ServeError::Session(e)),
-        };
-        session.prepare()?;
-        Ok(LoadReport {
-            epoch: session.epoch(),
-            store_error,
-            breaker_open: session.persistence_breaker_open(),
+        write(&mut session, &self.obs, "manager.persist_failures", |s| {
+            s.load(src)
         })
     }
 
@@ -359,20 +347,8 @@ impl SessionManager {
     pub fn retract(&self, name: &str, src: &str) -> Result<LoadReport, ServeError> {
         let arc = self.open(name)?;
         let mut session = arc.lock().unwrap_or_else(|e| e.into_inner());
-        let epoch_before = session.epoch();
-        let store_error = match session.retract(src) {
-            Ok(()) => None,
-            Err(SessionError::Store(e)) if session.epoch() > epoch_before => {
-                self.obs.metrics.counter("manager.persist_failures").inc();
-                Some(e)
-            }
-            Err(e) => return Err(ServeError::Session(e)),
-        };
-        session.prepare()?;
-        Ok(LoadReport {
-            epoch: session.epoch(),
-            store_error,
-            breaker_open: session.persistence_breaker_open(),
+        write(&mut session, &self.obs, "manager.persist_failures", |s| {
+            s.retract(src)
         })
     }
 
@@ -384,9 +360,8 @@ impl SessionManager {
     /// Queries the named tenant, merging `extra` (per-request deadline,
     /// cancel token) into the session budget. Answers come lock-free
     /// from the tenant's published [`SessionSnapshot`](clogic::SessionSnapshot)
-    /// (through its cross-strategy answer cache), with the same
-    /// prepare-escalation as the single-session server when nothing has
-    /// been published yet.
+    /// (through its cross-strategy answer cache), as in the
+    /// single-session server.
     pub fn query_with_budget(
         &self,
         name: &str,
@@ -394,15 +369,8 @@ impl SessionManager {
         strategy: Strategy,
         extra: &Budget,
     ) -> Result<Answers, ServeError> {
-        let (arc, snapshots) = self.open_slot(name)?;
-        let snap = match snapshots.load() {
-            Some(snap) => snap,
-            None => {
-                self.obs.metrics.counter("serve.prepare_escalations").inc();
-                arc.lock().unwrap_or_else(|e| e.into_inner()).prepare()?;
-                snapshots.load().expect("prepare always publishes")
-            }
-        };
+        let (_, snapshots) = self.open_slot(name)?;
+        let snap = snapshots.load().expect(PUBLISHED);
         let (answers, hit) = snap
             .query_cached(src, strategy, extra)
             .map_err(ServeError::Session)?;

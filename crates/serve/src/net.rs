@@ -74,6 +74,7 @@
 use crate::admission::{AdmissionQueue, AdmitError};
 use crate::manager::SessionManager;
 use crate::protocol::{self, Request, RequestOp, Response};
+use crate::{LoadReport, ServeError};
 use clogic_obs::{Counter, Gauge, Histogram, Json, Obs};
 use folog::Budget;
 use std::collections::HashMap;
@@ -759,26 +760,8 @@ fn handle(shared: &FrontShared, payload: &[u8], waited: Duration) -> Response {
         Err(message) => return Response::Error { message },
     };
     match req.op {
-        RequestOp::Load { src } => match manager.load(&req.tenant, &src) {
-            Ok(report) => Response::Loaded {
-                epoch: report.epoch,
-                persisted: report.persisted(),
-                breaker_open: report.breaker_open,
-            },
-            Err(e) => Response::Error {
-                message: e.to_string(),
-            },
-        },
-        RequestOp::Retract { src } => match manager.retract(&req.tenant, &src) {
-            Ok(report) => Response::Loaded {
-                epoch: report.epoch,
-                persisted: report.persisted(),
-                breaker_open: report.breaker_open,
-            },
-            Err(e) => Response::Error {
-                message: e.to_string(),
-            },
-        },
+        RequestOp::Load { src } => loaded(manager.load(&req.tenant, &src)),
+        RequestOp::Retract { src } => loaded(manager.retract(&req.tenant, &src)),
         RequestOp::Query {
             src,
             strategy,
@@ -809,6 +792,20 @@ fn handle(shared: &FrontShared, payload: &[u8], waited: Duration) -> Response {
             queued: shared.admission.len() as u64,
             resident: manager.resident() as u64,
             draining: shared.draining.load(Ordering::Acquire),
+        },
+    }
+}
+
+/// The response to a load or a retraction.
+fn loaded(written: Result<LoadReport, ServeError>) -> Response {
+    match written {
+        Ok(report) => Response::Loaded {
+            epoch: report.epoch,
+            persisted: report.persisted(),
+            breaker_open: report.breaker_open,
+        },
+        Err(e) => Response::Error {
+            message: e.to_string(),
         },
     }
 }

@@ -1,164 +1,54 @@
 //! Property tests: the executable content of Theorem 1.
 //!
-//! For randomly generated C-logic databases and queries, every evaluation
+//! For generated C-logic databases and queries, every evaluation
 //! strategy — direct resolution over complex objects, and the translated
 //! first-order route under SLD, naive/semi-naive bottom-up, tabling and
-//! magic sets — must produce identical answer sets. Also: parser ⇄
-//! printer round-trips, and decomposition/recombination laws on random
-//! molecules.
+//! magic sets — must produce identical answer sets, and without negation
+//! those must be the answers of the §3.2 oracle. Also: parser ⇄ printer
+//! round-trips, decomposition/recombination laws on generated molecules,
+//! and the oracle catching a translation bug every strategy shares.
 
 use clogic::core::decompose::{atoms, normalize, recombine};
-use clogic::core::program::Program;
-use clogic::core::{Atomic, DefiniteClause, LabelSpec, Term};
+use clogic::core::transform::Transformer;
+use clogic::core::{Atomic, Term};
+use clogic::folog::builtins::builtin_symbols;
+use clogic::folog::magic::solve_magic;
+use clogic::folog::tabling::{TabledEngine, TablingOptions};
+use clogic::folog::{
+    evaluate, CompiledProgram, FixpointOptions, SldEngine, SldOptions, Strategy as Fixpoint,
+};
 use clogic::session::{Session, Strategy};
 use clogic_parser::{parse_program, parse_query};
+use common::{corpus, Case, Features, Under};
 use proptest::prelude::*;
+use proptest::strategy::Strategy as _;
+use proptest::test_runner::TestRng;
 
-// ---------- generators ----------
+mod common;
 
-fn const_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["c1", "c2", "c3", "c4", "c5", "c6"]).prop_map(str::to_string)
+/// Loads `case` twice and asserts that each of `strategies` answers its
+/// queries as semi-naive evaluation does (and, without negation, as
+/// the oracle does).
+fn assert_strategies_agree(case: &Case, strategies: &[Strategy]) {
+    let mut semi = Session::new();
+    semi.load_program(case.program.clone());
+    let mut s = Session::new();
+    s.load_program(case.program.clone());
+    common::assert_answers(
+        Under(&mut semi, Strategy::BottomUpSemiNaive),
+        &mut s,
+        strategies,
+        &case.queries,
+        "semi-naive against each strategy",
+    );
 }
 
-fn type_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["t1", "t2", "t3", "object"]).prop_map(str::to_string)
-}
-
-fn label_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["l1", "l2", "l3"]).prop_map(str::to_string)
-}
-
-use proptest::strategy::Strategy as ProptestStrategy;
-
-fn value() -> impl ProptestStrategy<Value = Term> {
-    prop_oneof![
-        const_name().prop_map(|c| Term::constant(c.as_str())),
-        (0i64..4).prop_map(Term::int),
-    ]
-}
-
-/// A ground molecule fact: `ty: id[label ⇒ value, …]`.
-fn fact() -> impl ProptestStrategy<Value = DefiniteClause> {
-    (
-        type_name(),
-        const_name(),
-        prop::collection::vec((label_name(), value()), 0..3),
-    )
-        .prop_map(|(ty, id, pairs)| {
-            let specs: Vec<LabelSpec> = pairs
-                .into_iter()
-                .map(|(l, v)| LabelSpec::one(l.as_str(), v))
-                .collect();
-            let head = if specs.is_empty() {
-                Term::typed_constant(ty.as_str(), id.as_str())
-            } else {
-                Term::molecule(Term::typed_constant(ty.as_str(), id.as_str()), specs).unwrap()
-            };
-            DefiniteClause::fact(Atomic::term(head))
-        })
-}
-
-/// A safe non-recursive rule: `tr: X[m ⇒ V] :- tsrc: X[lsrc ⇒ V].`
-///
-/// Head labels (`m1`, `m2`) are disjoint from body labels (`l1`–`l3`) so
-/// no rule feeds its own body — the direct engine is top-down without
-/// tabling and, like Prolog, diverges on label-level self-recursion
-/// (bottom-up and tabled strategies handle it; see DESIGN.md).
-fn simple_rule() -> impl ProptestStrategy<Value = DefiniteClause> {
-    (
-        prop::sample::select(vec!["r1", "r2"]),
-        prop::sample::select(vec!["m1", "m2"]).prop_map(str::to_string),
-        prop::sample::select(vec!["t1", "t2", "t3"]),
-        label_name(),
-    )
-        .prop_map(|(rty, rlabel, sty, slabel)| {
-            let head = Atomic::term(
-                Term::molecule(
-                    Term::typed_var(rty, "X"),
-                    vec![LabelSpec::one(rlabel.as_str(), Term::var("V"))],
-                )
-                .unwrap(),
-            );
-            let body = vec![Atomic::term(
-                Term::molecule(
-                    Term::typed_var(sty, "X"),
-                    vec![LabelSpec::one(slabel.as_str(), Term::var("V"))],
-                )
-                .unwrap(),
-            )];
-            DefiniteClause::rule(head, body)
-        })
-}
-
-fn extensional_program() -> impl ProptestStrategy<Value = Program> {
-    prop::collection::vec(fact(), 1..10).prop_map(|clauses| {
-        let mut p = Program::new();
-        for c in clauses {
-            p.push(c);
-        }
-        p
+/// The molecules among `case`'s facts.
+fn molecule_facts(case: &Case) -> impl Iterator<Item = &Term> {
+    case.program.clauses.iter().filter_map(|c| match &c.head {
+        Atomic::Term(t) if c.is_fact() => Some(t),
+        _ => None,
     })
-}
-
-fn program_with_rules() -> impl ProptestStrategy<Value = Program> {
-    (
-        prop::collection::vec(fact(), 1..8),
-        prop::collection::vec(simple_rule(), 1..3),
-        prop::bool::ANY,
-    )
-        .prop_map(|(facts, rules, declare)| {
-            let mut p = Program::new();
-            if declare {
-                p.declare_subtype("t1", "t2");
-            }
-            for c in facts.into_iter().chain(rules) {
-                p.push(c);
-            }
-            p
-        })
-}
-
-/// A query molecule: possibly-variable identity, 0..2 label pieces with
-/// variable or constant values.
-fn query_src() -> impl ProptestStrategy<Value = String> {
-    (
-        prop::sample::select(vec!["t1", "t2", "t3", "r1", "r2", "object"]).prop_map(str::to_string),
-        prop_oneof![Just("X".to_string()), const_name()],
-        prop::collection::vec(
-            (
-                prop::sample::select(vec!["l1", "l2", "l3", "m1", "m2"]).prop_map(str::to_string),
-                prop_oneof![Just("V".to_string()), Just("W".to_string()), const_name()],
-            ),
-            0..3,
-        ),
-    )
-        .prop_map(|(ty, id, pairs)| {
-            let mut s = format!("{ty}: {id}");
-            if !pairs.is_empty() {
-                let specs: Vec<String> = pairs.iter().map(|(l, v)| format!("{l} => {v}")).collect();
-                s.push_str(&format!("[{}]", specs.join(", ")));
-            }
-            s
-        })
-}
-
-fn answers_for(p: &Program, query: &str, strategy: Strategy) -> Vec<String> {
-    let mut s = Session::new();
-    s.load_program(p.clone());
-    let r = s.query(query, strategy).unwrap();
-    assert!(r.complete, "{strategy:?} truncated on {query}");
-    r.rendered()
-}
-
-/// Like [`answers_for`] but tolerating a `complete = false` report: the
-/// direct engine's variant loop check conservatively marks runs that
-/// pruned a repeated goal, even when (as in the fixed-shape negation
-/// property, whose rule ranges over `object: X`) no answer can be lost.
-/// The answer-set equality assertion still catches real omissions.
-fn answers_for_lenient(p: &Program, query: &str, strategy: Strategy) -> Vec<String> {
-    let mut s = Session::new();
-    s.load_program(p.clone());
-    s.query(query, strategy).unwrap().rendered()
 }
 
 // ---------- properties ----------
@@ -167,86 +57,53 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn all_strategies_agree_on_extensional_databases(
-        p in extensional_program(),
-        q in query_src(),
-    ) {
-        let reference = answers_for(&p, &q, Strategy::BottomUpSemiNaive);
-        for strategy in Strategy::ALL {
-            prop_assert_eq!(
-                answers_for(&p, &q, strategy),
-                reference.clone(),
-                "strategy {:?} disagrees on query {} over\n{}",
-                strategy, q, p
-            );
+    fn all_strategies_agree_on_extensional_databases(case in corpus(Features::FACTS)) {
+        assert_strategies_agree(&case, &Strategy::ALL);
+    }
+
+    #[test]
+    fn non_sld_strategies_agree_with_rules(case in corpus(Features::RULES)) {
+        assert_strategies_agree(
+            &case,
+            &[Strategy::Direct, Strategy::BottomUpNaive, Strategy::Tabled, Strategy::Magic],
+        );
+    }
+
+    #[test]
+    fn parser_printer_roundtrip(case in corpus(Features::TOP)) {
+        let reparsed = parse_program(&case.program.to_string()).unwrap();
+        prop_assert_eq!(reparsed, case.program);
+    }
+
+    #[test]
+    fn query_printer_roundtrip(case in corpus(Features::TOP)) {
+        for q in &case.queries {
+            let parsed = parse_query(q).unwrap();
+            let reparsed = parse_query(&parsed.to_string()).unwrap();
+            prop_assert_eq!(reparsed, parsed);
         }
     }
 
     #[test]
-    fn non_sld_strategies_agree_with_rules(
-        p in program_with_rules(),
-        q in query_src(),
-    ) {
-        let reference = answers_for(&p, &q, Strategy::BottomUpSemiNaive);
-        for strategy in [
-            Strategy::Direct,
-            Strategy::BottomUpNaive,
-            Strategy::Tabled,
-            Strategy::Magic,
-        ] {
-            prop_assert_eq!(
-                answers_for(&p, &q, strategy),
-                reference.clone(),
-                "strategy {:?} disagrees on query {} over\n{}",
-                strategy, q, p
-            );
+    fn decomposition_recombination_roundtrip(case in corpus(Features::FACTS)) {
+        for t in molecule_facts(&case) {
+            // recombining all pieces gives the normal form of the original
+            let merged = recombine(&atoms(t)).unwrap();
+            prop_assert_eq!(merged, normalize(t));
         }
     }
 
     #[test]
-    fn parser_printer_roundtrip(p in program_with_rules()) {
-        let printed = p.to_string();
-        let reparsed = parse_program(&printed).unwrap();
-        prop_assert_eq!(reparsed, p);
-    }
-
-    #[test]
-    fn query_printer_roundtrip(q in query_src()) {
-        let parsed = parse_query(&q).unwrap();
-        let printed = parsed.to_string();
-        let reparsed = parse_query(&printed).unwrap();
-        prop_assert_eq!(reparsed, parsed);
-    }
-
-    #[test]
-    fn decomposition_recombination_roundtrip(f in fact()) {
-        let Atomic::Term(t) = &f.head else { unreachable!() };
-        let pieces = atoms(t);
-        // recombining all pieces (skipping the bare head when specs exist)
-        // gives the normal form of the original
-        let merged = recombine(&pieces).unwrap();
-        prop_assert_eq!(merged, normalize(t));
-    }
-
-    #[test]
-    fn normalization_is_idempotent_and_order_insensitive(
-        ty in type_name(),
-        id in const_name(),
-        mut pairs in prop::collection::vec((label_name(), value()), 1..4),
-    ) {
-        let mk = |pairs: &[(String, Term)]| {
-            Term::molecule(
-                Term::typed_constant(ty.as_str(), id.as_str()),
-                pairs.iter().map(|(l, v)| LabelSpec::one(l.as_str(), v.clone())).collect(),
-            )
-            .unwrap()
-        };
-        let original = mk(&pairs);
-        pairs.reverse();
-        let reversed = mk(&pairs);
-        prop_assert_eq!(normalize(&original), normalize(&reversed));
-        let n = normalize(&original);
-        prop_assert_eq!(normalize(&n), n.clone());
+    fn normalization_is_idempotent_and_order_insensitive(case in corpus(Features::FACTS)) {
+        for t in molecule_facts(&case) {
+            let Term::Molecule { head, specs } = t else { continue };
+            let mut reversed = specs.clone();
+            reversed.reverse();
+            let reversed = Term::molecule(Term::Id(head.clone()), reversed).unwrap();
+            prop_assert_eq!(normalize(t), normalize(&reversed));
+            let n = normalize(t);
+            prop_assert_eq!(normalize(&n), n.clone());
+        }
     }
 }
 
@@ -254,64 +111,96 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Negation as failure: the strategies supporting it agree on a
-    /// stratified program with one negated rule over random facts.
+    /// stratified program with one negated rule.
     #[test]
-    fn negation_strategies_agree(
-        p in extensional_program(),
-        neg_label in label_name(),
-        neg_value in const_name(),
-    ) {
-        let mut program = p.clone();
-        // flag: X :- t1: X, \+ X[neg_label => neg_value].
-        // Ranging over the extensional type t1 rather than the literal
-        // active-domain `object: X` generator, which makes depth-first
-        // SLD recurse through the rule's own object axiom.
-        let rule = clogic::core::DefiniteClause::rule_with_negation(
-            Atomic::term(Term::typed_var("flag", "X")),
-            vec![Atomic::term(Term::typed_var("t1", "X"))],
-            vec![Atomic::term(
-                Term::molecule(
-                    Term::var("X"),
-                    vec![LabelSpec::one(neg_label.as_str(), Term::constant(neg_value.as_str()))],
-                )
-                .unwrap(),
-            )],
+    fn negation_strategies_agree(case in corpus(Features::TOP)) {
+        assert_strategies_agree(
+            &case,
+            &[Strategy::Direct, Strategy::Sld, Strategy::BottomUpNaive],
         );
-        program.push(rule);
-        let reference = answers_for(&program, "flag: X", Strategy::BottomUpSemiNaive);
-        for strategy in [Strategy::Direct, Strategy::Sld, Strategy::BottomUpNaive] {
-            prop_assert_eq!(
-                answers_for_lenient(&program, "flag: X", strategy),
-                reference.clone(),
-                "strategy {:?} disagrees on
-{}",
-                strategy,
-                program
-            );
-        }
     }
 }
+
+// ---------- the corpus and the oracle ----------
+
+/// Most generated queries have answers, so cross-strategy checks
+/// compare answer sets rather than two empty ones.
+#[test]
+fn most_corpus_queries_have_answers() {
+    let corpus = corpus(Features::RULES);
+    let (mut pairs, mut answered) = (0, 0);
+    for i in 0..100 {
+        let case = corpus.generate(&mut TestRng::for_case(0x5eed, i));
+        let mut s = Session::new();
+        s.load_program(case.program);
+        for q in &case.queries {
+            pairs += 1;
+            if common::evaluate(&mut s, q, Strategy::BottomUpSemiNaive)
+                .unwrap()
+                .holds()
+            {
+                answered += 1;
+            }
+        }
+    }
+    assert_eq!(pairs, 200);
+    assert!(answered >= 100, "only {answered} of {pairs} queries have answers");
+}
+
+/// A translation that drops one type axiom is wrong in a way every
+/// translated strategy shares: they all agree on it. The §3.2 oracle
+/// still catches it, because the least model of the mutant does not
+/// satisfy the program.
+#[test]
+fn oracle_rejects_a_translation_missing_a_type_axiom() {
+    let p = parse_program("t1 < t2.\nt1: c1[l1 => c2].").unwrap();
+    let faithful = Transformer::new().program(&p);
+    let mut mutant = faithful.clone();
+    mutant.clauses.retain(|c| c.to_string() != "t2(X) :- t1(X).");
+    assert_eq!(mutant.clauses.len() + 1, faithful.clauses.len(), "{faithful}");
+
+    let goals = Transformer::new().query(&parse_query("t2: X").unwrap());
+    let cp = CompiledProgram::compile(&mutant, builtin_symbols());
+    for strategy in [Fixpoint::Naive, Fixpoint::SemiNaive] {
+        let opts = FixpointOptions {
+            strategy,
+            ..FixpointOptions::default()
+        };
+        assert!(evaluate(&cp, opts).unwrap().query(&goals).is_empty(), "{strategy:?}");
+    }
+    let sld = SldEngine::new(&cp, SldOptions::default()).solve(&goals).unwrap();
+    assert!(sld.answers.is_empty());
+    let tabled = TabledEngine::new(&cp, TablingOptions::default()).solve(&goals).unwrap();
+    assert!(tabled.answers.is_empty());
+    let builtins = builtin_symbols().collect();
+    let (magic, _) = solve_magic(&mutant, &goals, &builtins, FixpointOptions::default()).unwrap();
+    assert!(magic.is_empty());
+
+    assert!(common::least_model_of(&p, &faithful).satisfies_program(&p));
+    assert!(!common::least_model_of(&p, &mutant).satisfies_program(&p));
+    assert_eq!(common::oracle(&p, "t2: X"), ["X = c1"]);
+}
+
+// ---------- regressions ----------
 
 #[test]
 fn regression_empty_query_answers() {
     // a query about a type that exists but with an unmatched label
-    let p = parse_program("t1: c1[l1 => c2].").unwrap();
+    let mut s = Session::new();
+    s.load("t1: c1[l1 => c2].").unwrap();
     for strategy in Strategy::ALL {
-        assert!(
-            answers_for(&p, "t1: c1[l2 => V]", strategy).is_empty(),
-            "{strategy:?}"
-        );
+        let a = common::evaluate(&mut s, "t1: c1[l2 => V]", strategy).unwrap();
+        assert!(a.complete && a.rows.is_empty(), "{strategy:?}");
     }
 }
 
 #[test]
 fn regression_subtype_flows_into_queries() {
-    let p = parse_program("t1 < t2.\nt1: c1[l1 => c2].").unwrap();
+    let mut s = Session::new();
+    s.load("t1 < t2.\nt1: c1[l1 => c2].").unwrap();
     for strategy in Strategy::ALL {
-        assert_eq!(
-            answers_for(&p, "t2: X[l1 => c2]", strategy),
-            vec!["X = c1"],
-            "{strategy:?}"
-        );
+        let a = common::evaluate(&mut s, "t2: X[l1 => c2]", strategy).unwrap();
+        assert!(a.complete, "{strategy:?}");
+        assert_eq!(a.rendered(), ["X = c1"], "{strategy:?}");
     }
 }

@@ -3,187 +3,64 @@
 //! strategies, with and without entity-creating (skolemized) rules — and
 //! the caches that make re-querying cheap must never change answers.
 
-use clogic::core::program::Program;
-use clogic::core::{Atomic, DefiniteClause, LabelSpec, Term};
 use clogic::folog::Budget;
 use clogic::session::{Session, SessionOptions, Strategy};
+use common::{corpus, Case, Features};
 use proptest::prelude::*;
-use proptest::strategy::Strategy as ProptestStrategy;
 
 mod common;
-
-// ---------- generators ----------
-
-fn const_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["c1", "c2", "c3", "c4", "c5"]).prop_map(str::to_string)
-}
-
-fn type_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["t1", "t2", "t3"]).prop_map(str::to_string)
-}
-
-fn label_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["l1", "l2"]).prop_map(str::to_string)
-}
-
-/// A ground molecule fact: `ty: id[label ⇒ value, …]`.
-fn fact() -> impl ProptestStrategy<Value = DefiniteClause> {
-    (
-        type_name(),
-        const_name(),
-        prop::collection::vec((label_name(), const_name()), 0..3),
-    )
-        .prop_map(|(ty, id, pairs)| {
-            let specs: Vec<LabelSpec> = pairs
-                .into_iter()
-                .map(|(l, v)| LabelSpec::one(l.as_str(), Term::constant(v.as_str())))
-                .collect();
-            let head = if specs.is_empty() {
-                Term::typed_constant(ty.as_str(), id.as_str())
-            } else {
-                Term::molecule(Term::typed_constant(ty.as_str(), id.as_str()), specs).unwrap()
-            };
-            DefiniteClause::fact(Atomic::term(head))
-        })
-}
-
-/// A small pool of rules, including an entity-creating one whose
-/// head-only variable `C` is auto-skolemized on load — the identity
-/// `skN(…)` must come out the same whether the program is loaded in one
-/// piece or two.
-fn rule(entity_creating: bool) -> impl ProptestStrategy<Value = DefiniteClause> {
-    let plain = vec![
-        // p(X) :- t1: X[l1 => Y].
-        DefiniteClause::rule(
-            Atomic::pred("p", vec![Term::var("X")]),
-            vec![Atomic::term(
-                Term::molecule(
-                    Term::typed_var("t1", "X"),
-                    vec![LabelSpec::one("l1", Term::var("Y"))],
-                )
-                .unwrap(),
-            )],
-        ),
-        // t3: X :- t2: X.
-        DefiniteClause::rule(
-            Atomic::term(Term::typed_var("t3", "X")),
-            vec![Atomic::term(Term::typed_var("t2", "X"))],
-        ),
-    ];
-    let creating = vec![
-        // t3: C[l2 => X] :- t1: X.  (C is head-only: skolemized)
-        DefiniteClause::rule(
-            Atomic::term(
-                Term::molecule(
-                    Term::typed_var("t3", "C"),
-                    vec![LabelSpec::one("l2", Term::var("X"))],
-                )
-                .unwrap(),
-            ),
-            vec![Atomic::term(Term::typed_var("t1", "X"))],
-        ),
-        // t3: D[l1 => X] :- t2: X[l2 => Y].  (non-recursive: t3 occurs
-        // in no body, so SLD terminates and the guard stays quiet)
-        DefiniteClause::rule(
-            Atomic::term(
-                Term::molecule(
-                    Term::typed_var("t3", "D"),
-                    vec![LabelSpec::one("l1", Term::var("X"))],
-                )
-                .unwrap(),
-            ),
-            vec![Atomic::term(
-                Term::molecule(
-                    Term::typed_var("t2", "X"),
-                    vec![LabelSpec::one("l2", Term::var("Y"))],
-                )
-                .unwrap(),
-            )],
-        ),
-    ];
-    let pool = if entity_creating {
-        let mut all = plain;
-        all.extend(creating);
-        all
-    } else {
-        plain
-    };
-    prop::sample::select(pool)
-}
-
-fn program(entity_creating: bool) -> impl ProptestStrategy<Value = Program> {
-    (
-        prop::collection::vec(fact(), 1..6),
-        prop::collection::vec(rule(entity_creating), 0..3),
-        prop::bool::ANY,
-    )
-        .prop_map(|(facts, rules, subtype)| {
-            let mut p = Program::new();
-            if subtype {
-                p.declare_subtype("t1", "t2");
-            }
-            for f in facts {
-                p.push(f);
-            }
-            for r in rules {
-                p.push(r);
-            }
-            p
-        })
-}
-
-const QUERIES: &[&str] = &["t2: X", "t3: O[l2 => V]", "p(X)", "t1: X[l1 => Y]"];
 
 /// `load(a); load(b)` must answer exactly like `load(a + b)`, for every
 /// strategy and query — the cumulative-loading soundness property of the
 /// incremental pipeline (delta translation, resumed fixpoints, merged
-/// object stores, threaded skolem numbering all sit behind this).
-fn assert_split_load_equivalent(a: Program, b: Program) {
-    let mut combined_program = a.clone();
+/// object stores, threaded skolem numbering all sit behind this). The
+/// entity-creating rules' `skN(…)` identities must come out the same
+/// whether the program is loaded in one piece or two.
+fn assert_split_load_equivalent(a: Case, b: Case) {
+    let queries = common::queries([&a, &b]);
+    let mut combined_program = a.program.clone();
     combined_program
         .subtype_decls
-        .extend(b.subtype_decls.clone());
-    combined_program.clauses.extend(b.clauses.clone());
+        .extend(b.program.subtype_decls.clone());
+    combined_program.clauses.extend(b.program.clauses.clone());
 
     let mut split = Session::new();
-    split.load_program(a);
+    split.load_program(a.program);
     // Saturate bottom-up models at the intermediate epoch so the second
     // load exercises resumption rather than a cold start.
-    for q in QUERIES {
+    for q in &queries {
         let _ = split.query(q, Strategy::BottomUpSemiNaive);
         let _ = split.query(q, Strategy::BottomUpNaive);
     }
-    split.load_program(b);
+    split.load_program(b.program);
 
     let mut combined = Session::new();
     combined.load_program(combined_program);
 
-    for strategy in Strategy::ALL {
-        for q in QUERIES {
-            let s = common::evaluate(&mut split, q, strategy).unwrap();
-            let c = common::evaluate(&mut combined, q, strategy).unwrap();
-            assert_eq!(
-                s.rendered(),
-                c.rendered(),
-                "{strategy:?} on {q}: split load must equal combined load"
-            );
-            assert!(s.complete, "{strategy:?} on {q} must saturate");
-        }
-    }
+    common::assert_answers(
+        &mut split,
+        &mut combined,
+        &Strategy::ALL,
+        &queries,
+        "split load against combined load",
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn split_load_equals_combined_load(a in program(false), b in program(false)) {
+    fn split_load_equals_combined_load(
+        a in corpus(Features { entity_creating: false, ..Features::RULES }),
+        b in corpus(Features { entity_creating: false, ..Features::RULES }),
+    ) {
         assert_split_load_equivalent(a, b);
     }
 
     #[test]
     fn split_load_equals_combined_load_with_entity_creating_rules(
-        a in program(true),
-        b in program(true),
+        a in corpus(Features::RULES),
+        b in corpus(Features::RULES),
     ) {
         assert_split_load_equivalent(a, b);
     }

@@ -4,7 +4,7 @@
 //! every strategy must produce exactly the same answers with
 //! [`IndexMode::Indexed`] (lazy hash indices on bound-position
 //! projections) as with [`IndexMode::Scan`] (the exhaustive baseline).
-//! The properties here drive that equivalence over random databases —
+//! The properties here drive that equivalence over the generated corpus —
 //! including entity-creating (skolemized) rules and stratified negation —
 //! and the unit tests pin the laziness/invalidation contract: indices
 //! built during one evaluation are *extended*, never rebuilt and never
@@ -12,12 +12,13 @@
 //! epoch.
 
 use clogic::core::program::Program;
-use clogic::core::{Atomic, DefiniteClause, LabelSpec, Term};
 use clogic::folog::IndexMode;
 use clogic::obs::Obs;
 use clogic::{Session, SessionOptions, Strategy};
+use common::{corpus, Case, Features};
 use proptest::prelude::*;
-use proptest::strategy::Strategy as ProptestStrategy;
+
+mod common;
 
 // ---------- harness ----------
 
@@ -29,149 +30,16 @@ fn session_with(mode: IndexMode, p: &Program) -> Session {
     s
 }
 
-fn answers(p: &Program, query: &str, strategy: Strategy, mode: IndexMode) -> Vec<String> {
-    session_with(mode, p)
-        .query(query, strategy)
-        .unwrap()
-        .rendered()
-}
-
-// ---------- generators (the equivalence.rs vocabulary, plus an
-// entity-creating rule in the pool) ----------
-
-fn const_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["c1", "c2", "c3", "c4"]).prop_map(str::to_string)
-}
-
-fn type_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["t1", "t2", "t3", "object"]).prop_map(str::to_string)
-}
-
-fn label_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["l1", "l2", "l3"]).prop_map(str::to_string)
-}
-
-fn value() -> impl ProptestStrategy<Value = Term> {
-    prop_oneof![
-        const_name().prop_map(|c| Term::constant(c.as_str())),
-        (0i64..4).prop_map(Term::int),
-    ]
-}
-
-/// A ground molecule fact: `ty: id[label ⇒ value, …]`.
-fn fact() -> impl ProptestStrategy<Value = DefiniteClause> {
-    (
-        type_name(),
-        const_name(),
-        prop::collection::vec((label_name(), value()), 0..3),
-    )
-        .prop_map(|(ty, id, pairs)| {
-            let specs: Vec<LabelSpec> = pairs
-                .into_iter()
-                .map(|(l, v)| LabelSpec::one(l.as_str(), v))
-                .collect();
-            let head = if specs.is_empty() {
-                Term::typed_constant(ty.as_str(), id.as_str())
-            } else {
-                Term::molecule(Term::typed_constant(ty.as_str(), id.as_str()), specs).unwrap()
-            };
-            DefiniteClause::fact(Atomic::term(head))
-        })
-}
-
-/// Rule pool: plain label-projection rules (head labels disjoint from
-/// body labels, so the untabled direct engine terminates) plus an
-/// entity-creating rule whose head-only variable `C` is auto-skolemized
-/// on load.
-fn rule() -> impl ProptestStrategy<Value = DefiniteClause> {
-    let pool = vec![
-        // r1: X[m1 => V] :- t1: X[l1 => V].
-        DefiniteClause::rule(
-            Atomic::term(
-                Term::molecule(
-                    Term::typed_var("r1", "X"),
-                    vec![LabelSpec::one("m1", Term::var("V"))],
-                )
-                .unwrap(),
-            ),
-            vec![Atomic::term(
-                Term::molecule(
-                    Term::typed_var("t1", "X"),
-                    vec![LabelSpec::one("l1", Term::var("V"))],
-                )
-                .unwrap(),
-            )],
-        ),
-        // r2: X[m2 => V] :- t2: X[l2 => V].
-        DefiniteClause::rule(
-            Atomic::term(
-                Term::molecule(
-                    Term::typed_var("r2", "X"),
-                    vec![LabelSpec::one("m2", Term::var("V"))],
-                )
-                .unwrap(),
-            ),
-            vec![Atomic::term(
-                Term::molecule(
-                    Term::typed_var("t2", "X"),
-                    vec![LabelSpec::one("l2", Term::var("V"))],
-                )
-                .unwrap(),
-            )],
-        ),
-        // r1: C[m2 => X] :- t1: X.  (C is head-only: skolemized on load)
-        DefiniteClause::rule(
-            Atomic::term(
-                Term::molecule(
-                    Term::typed_var("r1", "C"),
-                    vec![LabelSpec::one("m2", Term::var("X"))],
-                )
-                .unwrap(),
-            ),
-            vec![Atomic::term(Term::typed_var("t1", "X"))],
-        ),
-    ];
-    prop::sample::select(pool)
-}
-
-fn program() -> impl ProptestStrategy<Value = Program> {
-    (
-        prop::collection::vec(fact(), 1..8),
-        prop::collection::vec(rule(), 0..3),
-        prop::bool::ANY,
-    )
-        .prop_map(|(facts, rules, declare)| {
-            let mut p = Program::new();
-            if declare {
-                p.declare_subtype("t1", "t2");
-            }
-            for c in facts.into_iter().chain(rules) {
-                p.push(c);
-            }
-            p
-        })
-}
-
-fn query_src() -> impl ProptestStrategy<Value = String> {
-    (
-        prop::sample::select(vec!["t1", "t2", "t3", "r1", "r2", "object"]).prop_map(str::to_string),
-        prop_oneof![Just("X".to_string()), const_name()],
-        prop::collection::vec(
-            (
-                prop::sample::select(vec!["l1", "l2", "l3", "m1", "m2"]).prop_map(str::to_string),
-                prop_oneof![Just("V".to_string()), Just("W".to_string()), const_name()],
-            ),
-            0..3,
-        ),
-    )
-        .prop_map(|(ty, id, pairs)| {
-            let mut s = format!("{ty}: {id}");
-            if !pairs.is_empty() {
-                let specs: Vec<String> = pairs.iter().map(|(l, v)| format!("{l} => {v}")).collect();
-                s.push_str(&format!("[{}]", specs.join(", ")));
-            }
-            s
-        })
+/// Indexed evaluation answers every query of `case` under each of
+/// `strategies` exactly as scan evaluation does.
+fn assert_indexed_equals_scan(case: &Case, strategies: &[Strategy]) {
+    common::assert_answers(
+        &mut session_with(IndexMode::Indexed, &case.program),
+        &mut session_with(IndexMode::Scan, &case.program),
+        strategies,
+        &case.queries,
+        "indexed against scan",
+    );
 }
 
 // ---------- properties ----------
@@ -182,18 +50,8 @@ proptest! {
     /// Indexed and scan evaluation agree, answer for answer, under every
     /// strategy — over programs with rules, including entity creation.
     #[test]
-    fn indexed_equals_scan_across_strategies(
-        p in program(),
-        q in query_src(),
-    ) {
-        for strategy in Strategy::ALL {
-            prop_assert_eq!(
-                answers(&p, &q, strategy, IndexMode::Indexed),
-                answers(&p, &q, strategy, IndexMode::Scan),
-                "strategy {:?} diverges between index modes on query {} over\n{}",
-                strategy, q, p
-            );
-        }
+    fn indexed_equals_scan_across_strategies(case in corpus(Features::RULES)) {
+        assert_indexed_equals_scan(&case, &Strategy::ALL);
     }
 }
 
@@ -203,40 +61,16 @@ proptest! {
     /// Same equivalence on a stratified program with one negated rule,
     /// for the strategies that support negation.
     #[test]
-    fn indexed_equals_scan_under_negation(
-        p in program(),
-        neg_label in label_name(),
-        neg_value in const_name(),
-    ) {
-        let mut program = p;
-        // flag: X :- t1: X, \+ X[neg_label => neg_value].
-        program.push(DefiniteClause::rule_with_negation(
-            Atomic::term(Term::typed_var("flag", "X")),
-            vec![Atomic::term(Term::typed_var("t1", "X"))],
-            vec![Atomic::term(
-                Term::molecule(
-                    Term::var("X"),
-                    vec![LabelSpec::one(
-                        neg_label.as_str(),
-                        Term::constant(neg_value.as_str()),
-                    )],
-                )
-                .unwrap(),
-            )],
-        ));
-        for strategy in [
-            Strategy::BottomUpSemiNaive,
-            Strategy::BottomUpNaive,
-            Strategy::Direct,
-            Strategy::Sld,
-        ] {
-            prop_assert_eq!(
-                answers(&program, "flag: X", strategy, IndexMode::Indexed),
-                answers(&program, "flag: X", strategy, IndexMode::Scan),
-                "strategy {:?} diverges between index modes under negation on\n{}",
-                strategy, program
-            );
-        }
+    fn indexed_equals_scan_under_negation(case in corpus(Features::TOP)) {
+        assert_indexed_equals_scan(
+            &case,
+            &[
+                Strategy::BottomUpSemiNaive,
+                Strategy::BottomUpNaive,
+                Strategy::Direct,
+                Strategy::Sld,
+            ],
+        );
     }
 }
 

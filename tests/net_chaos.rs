@@ -8,8 +8,9 @@
 //! * **Adversarial sweep** — slowloris writers, a connection flood, a
 //!   stalled reader that never drains its responses, torn- and
 //!   oversized-frame writers, and a silent idler all run *concurrently*
-//!   against healthy clients whose answers must stay identical to a
-//!   serial session across all six strategies. Every adversary class
+//!   against healthy clients whose answers must stay those of the §3.2
+//!   oracle (and so of a serial session) across all six strategies.
+//!   Every adversary class
 //!   must show up in the `net.reaped.*` ledger, the
 //!   `net.connections.open` gauge must never exceed the configured cap,
 //!   and shutdown must complete promptly — no wedged worker, no leaked
@@ -31,80 +32,44 @@
 //!   read-buffer-cap reaping, plus the `health` op and
 //!   drain-with-deadline shutdown.
 //!
-//! Iteration counts are env-tunable for CI (`NET_CHAOS_ITERS`,
-//! `NET_CHAOS_PIPELINE`); the sweep writes its final metrics snapshot
-//! to `target/net-chaos/metrics.json` (override with
-//! `NET_CHAOS_METRICS_PATH`) so CI can archive the ledger.
+//! The adversarial sweep writes its final metrics snapshot to
+//! `target/net-chaos/metrics.json`, so CI can archive the ledger.
 
 use clogic::obs::{Json, Obs, Render};
-use clogic::session::{Session, SessionOptions, Strategy};
-use clogic::store::{MemStorage, RetryPolicy, Storage};
+use clogic::session::Strategy;
 use clogic_serve::protocol::{self, get};
 use clogic_serve::{
-    ChaosStream, Client, ManagerOptions, Request, RequestOp, SessionManager, StorageFactory,
-    TcpFront, TcpFrontOptions, WireFault,
+    ChaosStream, Client, Request, RequestOp, SessionManager, TcpFront, TcpFrontOptions, WireFault,
 };
-use std::collections::HashMap;
+use common::{baseline, chunks, QUERIES};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 mod common;
 
-const QUERIES: &[&str] = &["t2: X", "t3: O[l2 => V]", "p(X)", "t1: X[l1 => Y]"];
+/// Rounds of every strategy on every query each healthy client runs in
+/// the adversarial sweep.
+const ITERS: usize = 3;
 
-/// Same program as the serve/tenants suites — facts, molecules, a
-/// subtype, rules, and an entity-creating rule, so answer equivalence
-/// also pins skolem identities.
-fn chunks() -> Vec<String> {
-    vec![
-        "t1 < t2.\nt1: c1[l1 => c2].\nt3: C[l2 => X] :- t1: X.".to_string(),
-        "t1: c3.\np(X) :- t1: X[l1 => Y].".to_string(),
-        "t2: c4[l2 => c5].\nt3: D[l1 => X] :- t2: X[l2 => Y].".to_string(),
-        "t1: c2[l1 => c4].\nt3: X :- t2: X.".to_string(),
-    ]
-}
+/// Frames the stalled reader writes without reading a response.
+const PIPELINE: usize = 300;
+
+/// Where the adversarial sweep writes its final metrics snapshot.
+const METRICS_PATH: &str = "target/net-chaos/metrics.json";
 
 /// An infinite-least-model program (`tests/governor.rs`): any query
 /// with a deadline runs until the deadline trips — the reliable way to
 /// occupy a worker for an exact, bounded time.
 const DIVERGENT: &str = "t: a.\nt: X[next => Y] :- t: Y.";
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn manager_opts(obs: &Obs) -> ManagerOptions {
-    ManagerOptions {
-        capacity: 16,
-        retry: RetryPolicy::default(),
-        session: SessionOptions {
-            snapshot_every: Some(2),
-            obs: obs.clone(),
-            ..SessionOptions::default()
-        },
-        sleeper: Arc::new(|_| {}),
-    }
-}
-
-type Stores = Arc<Mutex<HashMap<String, MemStorage>>>;
-
-fn mem_factory(stores: &Stores) -> StorageFactory {
-    let stores = Arc::clone(stores);
-    Arc::new(move |name| {
-        let mut stores = stores.lock().unwrap();
-        Ok(Box::new(stores.entry(name.to_string()).or_default().clone()) as Box<dyn Storage>)
-    })
-}
-
 fn start_front(obs: &Obs, opts: TcpFrontOptions) -> (Arc<SessionManager>, TcpFront) {
-    let stores: Stores = Arc::new(Mutex::new(HashMap::new()));
-    let mgr = Arc::new(SessionManager::new(mem_factory(&stores), manager_opts(obs)));
+    let mgr = Arc::new(SessionManager::new(
+        common::mem_factory(),
+        common::manager_opts(obs, 16),
+    ));
     let front = TcpFront::start(Arc::clone(&mgr), "127.0.0.1:0", opts).expect("bind");
     (mgr, front)
 }
@@ -120,55 +85,18 @@ fn query_req(tenant: &str, src: &str, strategy: Strategy, deadline_ms: Option<u6
     }
 }
 
-/// Bindings of a wire query response, as (var, term) rows.
-fn rows_of(resp: &Json) -> Rows {
-    let Some(Json::Array(rows)) = get(resp, "rows") else {
-        panic!("rows missing in {resp}");
-    };
-    rows.iter()
-        .map(|row| match row {
-            Json::Object(fields) => fields
-                .iter()
-                .map(|(k, v)| match v {
-                    Json::Str(s) => (k.clone(), s.clone()),
-                    other => (k.clone(), other.to_string()),
-                })
-                .collect(),
-            other => panic!("row is not an object: {other}"),
-        })
-        .collect()
+/// A wire query response's answers, sorted like the oracle's.
+fn answers_of(resp: &Json) -> Vec<String> {
+    let mut rows = common::wire_rows(resp);
+    rows.sort();
+    rows
 }
 
-/// One answer set as comparable `(var, term)` binding rows.
-type Rows = Vec<Vec<(String, String)>>;
-
-/// The serial ground truth: every (strategy, query) pair's bindings.
-fn serial_expected(loads: &[String]) -> HashMap<(usize, usize), Rows> {
-    let mut s = Session::with_options(SessionOptions {
-        snapshot_every: Some(2),
-        ..SessionOptions::default()
-    });
-    for c in loads {
-        s.load(c).expect("serial load");
-    }
-    let mut expected = HashMap::new();
-    for (si, strategy) in Strategy::ALL.into_iter().enumerate() {
-        for (qi, q) in QUERIES.iter().enumerate() {
-            let rows: Rows = common::evaluate(&mut s, q, strategy)
-                .unwrap()
-                .rows
-                .iter()
-                .map(|row| {
-                    row.bindings
-                        .iter()
-                        .map(|(var, term)| (var.to_string(), term.to_string()))
-                        .collect()
-                })
-                .collect();
-            expected.insert((si, qi), rows);
-        }
-    }
-    expected
+/// The ground truth: the §3.2 oracle's answers to each of [`QUERIES`]
+/// over the fixed program, which every strategy must give.
+fn expected() -> Vec<Vec<String>> {
+    let program = baseline(&chunks()).program().clone();
+    QUERIES.iter().map(|q| common::oracle(&program, q)).collect()
 }
 
 /// A hand-framed client over any byte stream — what lets the chaos
@@ -247,8 +175,6 @@ fn shutdown_within(front: TcpFront, timeout: Duration) -> Duration {
 #[test]
 fn adversarial_peers_cannot_starve_or_corrupt_healthy_clients() {
     const MAX_CONNS: usize = 16;
-    let iters = env_usize("NET_CHAOS_ITERS", 3);
-    let pipeline = env_usize("NET_CHAOS_PIPELINE", 300);
 
     let obs = Obs::new();
     // Clocks sized for a loaded single-core CI box: a healthy client
@@ -279,7 +205,7 @@ fn adversarial_peers_cannot_starve_or_corrupt_healthy_clients() {
     let mega: String = (0..4000).map(|i| format!("mega: m{i}.\n")).collect();
     mgr.load("mega", &mega).expect("load mega");
 
-    let expected = Arc::new(serial_expected(&chunks()));
+    let expected = Arc::new(expected());
     let stop = Arc::new(AtomicBool::new(false));
     let max_open_seen = Arc::new(AtomicU64::new(0));
     let healthy_ready = Arc::new(AtomicU64::new(0));
@@ -322,9 +248,9 @@ fn adversarial_peers_cannot_starve_or_corrupt_healthy_clients() {
                     .expect("warm-up");
                 assert_eq!(get(&resp, "ok"), Some(&Json::Bool(true)), "warm-up: {resp}");
                 healthy_ready.fetch_add(1, Ordering::AcqRel);
-                for _ in 0..iters {
-                    for (si, strategy) in Strategy::ALL.into_iter().enumerate() {
-                        for (qi, q) in QUERIES.iter().enumerate() {
+                for _ in 0..ITERS {
+                    for strategy in Strategy::ALL {
+                        for (q, want) in QUERIES.iter().zip(expected.iter()) {
                             let resp = c
                                 .request(&query_req("healthy", q, strategy, Some(30_000)))
                                 .unwrap_or_else(|e| {
@@ -344,9 +270,9 @@ fn adversarial_peers_cannot_starve_or_corrupt_healthy_clients() {
                                 "healthy {t}: {resp}"
                             );
                             assert_eq!(
-                                rows_of(&resp),
-                                expected[&(si, qi)],
-                                "healthy {t}: {strategy:?} on {q} diverged from serial"
+                                &answers_of(&resp),
+                                want,
+                                "healthy {t}: {strategy:?} on {q} diverged from the oracle"
                             );
                         }
                     }
@@ -392,7 +318,7 @@ fn adversarial_peers_cannot_starve_or_corrupt_healthy_clients() {
             let frame = protocol::encode_frame(
                 &query_req("mega", "mega: X", Strategy::Sld, Some(30_000)).render_json(),
             );
-            for _ in 0..pipeline {
+            for _ in 0..PIPELINE {
                 if s.write_all(&frame).is_err() {
                     return; // killed — the budget did its job
                 }
@@ -475,7 +401,7 @@ fn adversarial_peers_cannot_starve_or_corrupt_healthy_clients() {
         max_open_seen.load(Ordering::Acquire)
     );
     assert!(
-        snap.counter("net.frames.in").unwrap_or(0) >= (4 * iters as u64 * 24),
+        snap.counter("net.frames.in").unwrap_or(0) >= (4 * ITERS as u64 * 24),
         "healthy traffic missing from net.frames.in: {snap:?}"
     );
 
@@ -490,9 +416,7 @@ fn adversarial_peers_cannot_starve_or_corrupt_healthy_clients() {
     );
 
     // Archive the ledger for CI.
-    let path = std::env::var("NET_CHAOS_METRICS_PATH")
-        .unwrap_or_else(|_| "target/net-chaos/metrics.json".to_string());
-    let path = std::path::Path::new(&path);
+    let path = std::path::Path::new(METRICS_PATH);
     if let Some(dir) = path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
@@ -522,8 +446,7 @@ fn chaos_wire_client_sweep_leaves_the_front_serving() {
     for c in &chunks() {
         mgr.load("healthy", c).expect("load");
     }
-    let expected = serial_expected(&chunks());
-    let clean = &expected[&(0, 0)]; // (Sld, QUERIES[0])
+    let clean = &expected()[0];
 
     for fault in WireFault::ALL {
         for trigger in 1..=5u64 {
@@ -545,7 +468,7 @@ fn chaos_wire_client_sweep_leaves_the_front_serving() {
                         // (e.g. the server refusing a corrupted frame).
                         if get(&resp, "ok") == Some(&Json::Bool(true)) {
                             assert_eq!(
-                                rows_of(&resp),
+                                answers_of(&resp),
                                 *clean,
                                 "{fault:?}@{trigger} round {round}: wrong answer"
                             );
@@ -569,7 +492,7 @@ fn chaos_wire_client_sweep_leaves_the_front_serving() {
                 .request(&query_req("healthy", QUERIES[0], Strategy::Sld, Some(30_000)))
                 .unwrap_or_else(|e| panic!("front wedged after {fault:?}@{trigger}: {e}"));
             assert_eq!(get(&resp, "ok"), Some(&Json::Bool(true)), "{resp}");
-            assert_eq!(rows_of(&resp), *clean, "after {fault:?}@{trigger}");
+            assert_eq!(answers_of(&resp), *clean, "after {fault:?}@{trigger}");
         }
     }
     shutdown_within(front, Duration::from_secs(30));

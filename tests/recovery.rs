@@ -10,46 +10,13 @@
 //! On failure, the offending scenario's [`RecoveryReport`] is dumped to
 //! `target/recovery-reports/` so CI can surface it.
 
-use clogic::session::{Session, SessionOptions, Strategy};
+use clogic::session::Session;
 use clogic::store::{ChaosStorage, Fault, MemStorage, RecoveryReport, Storage};
+use common::{baseline, chunks, corpus, opts, Case, Features, QUERIES};
 use proptest::prelude::*;
-use proptest::strategy::Strategy as ProptestStrategy;
 use std::io::Write as _;
-use std::sync::atomic::Ordering;
 
 mod common;
-
-const QUERIES: &[&str] = &["t2: X", "t3: O[l2 => V]", "p(X)", "t1: X[l1 => Y]"];
-
-/// Small compaction interval so multi-chunk runs exercise snapshotting,
-/// not just appends.
-fn opts() -> SessionOptions {
-    SessionOptions {
-        snapshot_every: Some(2),
-        ..SessionOptions::default()
-    }
-}
-
-/// A fixed load sequence covering facts, molecules, a subtype
-/// declaration, rules, and — crucially — entity-creating rules whose
-/// head-only variables mint `skN` identities on every load.
-fn standard_chunks() -> Vec<String> {
-    vec![
-        "t1 < t2.\nt1: c1[l1 => c2].\nt3: C[l2 => X] :- t1: X.".to_string(),
-        "t1: c3.\np(X) :- t1: X[l1 => Y].".to_string(),
-        "t2: c4[l2 => c5].\nt3: D[l1 => X] :- t2: X[l2 => Y].".to_string(),
-        "t1: c2[l1 => c4].\nt3: X :- t2: X.".to_string(),
-    ]
-}
-
-/// An uninterrupted, purely in-memory session loading the same chunks.
-fn baseline(chunks: &[String]) -> Session {
-    let mut s = Session::with_options(opts());
-    for c in chunks {
-        s.load(c).expect("baseline load");
-    }
-    s
-}
 
 fn dump_report(name: &str, report: &RecoveryReport, context: &str) {
     let dir = std::path::Path::new("target/recovery-reports");
@@ -61,31 +28,18 @@ fn dump_report(name: &str, report: &RecoveryReport, context: &str) {
 
 /// The recovered session must be indistinguishable from the baseline:
 /// identical program text (this pins the `skN` identities), identical
-/// epoch, identical answers for every query under every strategy.
+/// epoch, identical answers to `queries` under every strategy. A
+/// failure dumps `report`.
 fn assert_equivalent(
     recovered: &mut Session,
     uninterrupted: &mut Session,
+    queries: &[impl AsRef<str>],
     report: &RecoveryReport,
     context: &str,
 ) {
     let check = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        assert_eq!(
-            recovered.epoch(),
-            uninterrupted.epoch(),
-            "epoch after recovery"
-        );
-        assert_eq!(
-            recovered.program().to_string(),
-            uninterrupted.program().to_string(),
-            "recovered program (and skolem identities)"
-        );
-        for strategy in Strategy::ALL {
-            for q in QUERIES {
-                let r = common::evaluate(recovered, q, strategy).expect("recovered query");
-                let u = common::evaluate(uninterrupted, q, strategy).expect("baseline query");
-                assert_eq!(r.rendered(), u.rendered(), "{strategy:?} on {q}");
-            }
-        }
+        let state = common::state(recovered);
+        common::assert_equivalent(state, recovered, uninterrupted, queries, context);
     }));
     if let Err(payload) = check {
         dump_report("failure", report, context);
@@ -106,7 +60,7 @@ fn recover_empty_store_is_clean_and_empty() {
 
 #[test]
 fn crash_after_every_prefix_recovers_identically() {
-    let chunks = standard_chunks();
+    let chunks = chunks();
     for crash_at in 0..=chunks.len() {
         let mem = MemStorage::new();
         {
@@ -123,13 +77,13 @@ fn crash_after_every_prefix_recovers_identically() {
             r.load(c).unwrap();
         }
         let mut base = baseline(&chunks);
-        assert_equivalent(&mut r, &mut base, &report, &format!("crash_at={crash_at}"));
+        assert_equivalent(&mut r, &mut base, QUERIES, &report, &format!("crash_at={crash_at}"));
     }
 }
 
 #[test]
 fn snapshot_compacts_wal_and_recovery_uses_it() {
-    let chunks = standard_chunks();
+    let chunks = chunks();
     let mem = MemStorage::new();
     {
         let (mut s, _) = Session::recover_from(Box::new(mem.clone()), opts()).unwrap();
@@ -144,12 +98,12 @@ fn snapshot_compacts_wal_and_recovery_uses_it() {
     assert_eq!(report.snapshot_epoch, Some(chunks.len() as u64));
     assert_eq!(report.records_replayed, 0);
     let mut base = baseline(&chunks);
-    assert_equivalent(&mut r, &mut base, &report, "post-snapshot recovery");
+    assert_equivalent(&mut r, &mut base, QUERIES, &report, "post-snapshot recovery");
 }
 
 #[test]
 fn torn_wal_tail_is_dropped_and_reported() {
-    let chunks = standard_chunks();
+    let chunks = chunks();
     let mem = MemStorage::new();
     {
         let (mut s, _) = Session::recover_from(Box::new(mem.clone()), opts()).unwrap();
@@ -170,7 +124,7 @@ fn torn_wal_tail_is_dropped_and_reported() {
         r.load(c).unwrap();
     }
     let mut base = baseline(&chunks);
-    assert_equivalent(&mut r, &mut base, &report, "torn tail");
+    assert_equivalent(&mut r, &mut base, QUERIES, &report, "torn tail");
 }
 
 #[test]
@@ -218,9 +172,10 @@ fn skolem_identities_survive_recovery() {
         "post-recovery minting must continue at sk2:\n{text}"
     );
 
-    let mut base = Session::with_options(opts());
-    base.load("t1: c1.\nt3: C[l2 => X] :- t1: X.").unwrap();
-    base.load("t3: D[l1 => X] :- t1: X.").unwrap();
+    let base = baseline(&[
+        "t1: c1.\nt3: C[l2 => X] :- t1: X.".to_string(),
+        "t3: D[l1 => X] :- t1: X.".to_string(),
+    ]);
     assert_eq!(r.program().to_string(), base.program().to_string());
 }
 
@@ -234,7 +189,7 @@ fn recover_refuses_a_missing_directory() {
 fn file_storage_round_trips_on_disk() {
     let dir = std::env::temp_dir().join(format!("clogic-recovery-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let chunks = standard_chunks();
+    let chunks = chunks();
     {
         let (mut s, report) = Session::persistent_with_options(&dir, opts()).unwrap();
         assert!(report.is_clean());
@@ -244,7 +199,7 @@ fn file_storage_round_trips_on_disk() {
     }
     let (mut r, report) = Session::recover(&dir).unwrap();
     let mut base = baseline(&chunks);
-    assert_equivalent(&mut r, &mut base, &report, "file storage");
+    assert_equivalent(&mut r, &mut base, QUERIES, &report, "file storage");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -253,8 +208,8 @@ fn file_storage_round_trips_on_disk() {
 /// Runs the load sequence over chaos storage that faults at operation
 /// `trigger`, then reopens the underlying store with a clean handle (the
 /// "restarted process"), replays, finishes the remaining loads, and
-/// checks full equivalence with the uninterrupted baseline.
-fn chaos_scenario(chunks: &[String], trigger: u64, fault: Fault) {
+/// checks full equivalence with the uninterrupted baseline on `queries`.
+fn chaos_scenario(chunks: &[String], queries: &[impl AsRef<str>], trigger: u64, fault: Fault) {
     let mem = MemStorage::new();
     let chaos = ChaosStorage::new(mem.clone(), trigger, fault);
 
@@ -293,108 +248,43 @@ fn chaos_scenario(chunks: &[String], trigger: u64, fault: Fault) {
 
     // Phase 4: equivalence.
     let mut base = baseline(chunks);
-    assert_equivalent(&mut r, &mut base, &report, &context);
+    assert_equivalent(&mut r, &mut base, queries, &report, &context);
 }
 
 #[test]
 fn chaos_sweep_kills_every_io_operation_under_every_fault() {
-    let chunks = standard_chunks();
+    let chunks = chunks();
 
-    // Measure a clean run's operation count with a never-firing trigger.
-    let mem = MemStorage::new();
-    let probe = ChaosStorage::new(mem, 0, Fault::Fail);
-    let ops = probe.op_counter();
-    {
-        let (mut s, _) = Session::recover_from(Box::new(probe), opts()).unwrap();
-        for c in &chunks {
-            s.load(c).unwrap();
-        }
-    }
-    let total = ops.load(Ordering::Relaxed);
-    assert!(total > 10, "probe run did too little I/O ({total} ops)");
+    let total = common::clean_io_ops(|s| chunks.iter().for_each(|c| s.load(c).unwrap()));
 
     // Sweep: every operation of the clean run × every fault kind.
     for fault in Fault::ALL {
         for trigger in 1..=total {
-            chaos_scenario(&chunks, trigger, fault);
+            chaos_scenario(&chunks, QUERIES, trigger, fault);
         }
     }
 }
 
-// ---------- proptest: random programs, random splits, random crash ----------
+// ---------- proptest: generated loads, random crash ----------
 
-fn const_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["c1", "c2", "c3", "c4", "c5"]).prop_map(str::to_string)
-}
-
-fn type_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["t1", "t2", "t3"]).prop_map(str::to_string)
-}
-
-fn label_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["l1", "l2"]).prop_map(str::to_string)
-}
-
-fn fact_src() -> impl ProptestStrategy<Value = String> {
-    (
-        type_name(),
-        const_name(),
-        prop::collection::vec((label_name(), const_name()), 0..3),
-    )
-        .prop_map(|(ty, id, pairs)| {
-            if pairs.is_empty() {
-                format!("{ty}: {id}.")
-            } else {
-                let specs = pairs
-                    .iter()
-                    .map(|(l, v)| format!("{l} => {v}"))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!("{ty}: {id}[{specs}].")
-            }
-        })
-}
-
-/// The rule pool from `tests/incremental.rs`, as source text; two of the
-/// four mint skolem identities on load.
-fn rule_src() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec![
-        "p(X) :- t1: X[l1 => Y].",
-        "t3: X :- t2: X.",
-        "t3: C[l2 => X] :- t1: X.",
-        "t3: D[l1 => X] :- t2: X[l2 => Y].",
-    ])
-    .prop_map(str::to_string)
-}
-
-fn chunk_src() -> impl ProptestStrategy<Value = String> {
-    (
-        prop::bool::ANY,
-        prop::collection::vec(fact_src(), 1..4),
-        prop::collection::vec(rule_src(), 0..3),
-    )
-        .prop_map(|(subtype, facts, rules)| {
-            let mut lines = Vec::new();
-            if subtype {
-                lines.push("t1 < t2.".to_string());
-            }
-            lines.extend(facts);
-            lines.extend(rules);
-            lines.join("\n")
-        })
+/// Each case as one load: its subtype declarations and clauses.
+fn loads(cases: &[Case]) -> Vec<String> {
+    cases.iter().map(|c| c.program.to_string()).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A random program split into K loads, killed after a random prefix,
-    /// recovered, and finished must equal the uninterrupted K-load
-    /// session — answers and skolem identities — for all six strategies.
+    /// K generated programs loaded one by one, killed after a random
+    /// prefix, recovered, and finished must equal the uninterrupted
+    /// K-load session — answers and skolem identities — for all six
+    /// strategies.
     #[test]
     fn random_crash_recover_equals_uninterrupted(
-        chunks in prop::collection::vec(chunk_src(), 1..5),
+        cases in prop::collection::vec(corpus(Features::RULES), 1..5),
         crash_sel in 0usize..64,
     ) {
+        let chunks = loads(&cases);
         let crash_at = crash_sel % (chunks.len() + 1);
         let mem = MemStorage::new();
         {
@@ -409,16 +299,17 @@ proptest! {
             r.load(c).unwrap();
         }
         let mut base = baseline(&chunks);
-        assert_equivalent(&mut r, &mut base, &report, &format!("proptest crash_at={crash_at}"));
+        let context = format!("proptest crash_at={crash_at}");
+        assert_equivalent(&mut r, &mut base, &common::queries(&cases), &report, &context);
     }
 
     /// Same property under fault injection at a random I/O operation.
     #[test]
     fn random_chaos_crash_recovers(
-        chunks in prop::collection::vec(chunk_src(), 1..4),
+        cases in prop::collection::vec(corpus(Features::RULES), 1..4),
         trigger in 1u64..40,
         fault_sel in 0usize..4,
     ) {
-        chaos_scenario(&chunks, trigger, Fault::ALL[fault_sel]);
+        chaos_scenario(&loads(&cases), &common::queries(&cases), trigger, Fault::ALL[fault_sel]);
     }
 }

@@ -5,7 +5,7 @@
 //! * **Semantics** — `retract ∘ assert ≡ never-asserted`: after loading
 //!   a chunk and retracting exactly its (post-skolemization) clauses,
 //!   every query under every strategy answers as if the chunk had never
-//!   been loaded. Property-tested over random programs, including
+//!   been loaded. Property-tested over generated programs, including
 //!   entity-creating rules whose skolem identities must stay pinned.
 //! * **Incrementality** — cached saturated models are repaired by the
 //!   DRed delete-rederive pass, not recomputed (observed through the
@@ -21,20 +21,10 @@
 use clogic::folog::Budget;
 use clogic::session::{Session, SessionError, SessionOptions, Strategy};
 use clogic::store::{ChaosStorage, Fault, MemStorage};
+use common::{corpus, opts, Features, QUERIES};
 use proptest::prelude::*;
-use proptest::strategy::Strategy as ProptestStrategy;
-use std::sync::atomic::Ordering;
 
 mod common;
-
-const QUERIES: &[&str] = &["t2: X", "t3: O[l2 => V]", "p(X)", "t1: X[l1 => Y]"];
-
-fn opts() -> SessionOptions {
-    SessionOptions {
-        snapshot_every: Some(2),
-        ..SessionOptions::default()
-    }
-}
 
 /// One durably logged mutation, as the histories below drive it.
 #[derive(Clone, Debug)]
@@ -43,20 +33,18 @@ enum Op {
     Retract(String),
 }
 
-/// A fixed interleaved history: loads covering facts, molecules, a
-/// subtype declaration, rules and entity-creating (skolemizing) rules,
-/// with retractions of facts *and* a rule woven between them. Every op
-/// is exactly one epoch.
+/// A fixed interleaved history: the loads of the shared four-chunk
+/// program, with retractions of facts *and* a rule woven between them.
+/// Every op is exactly one epoch.
 fn standard_ops() -> Vec<Op> {
-    vec![
-        Op::Load("t1 < t2.\nt1: c1[l1 => c2].\nt3: C[l2 => X] :- t1: X.".to_string()),
-        Op::Load("t1: c3.\np(X) :- t1: X[l1 => Y].".to_string()),
-        Op::Retract("t1: c3.".to_string()),
-        Op::Load("t2: c4[l2 => c5].\nt3: D[l1 => X] :- t2: X[l2 => Y].".to_string()),
-        Op::Retract("t1: c1[l1 => c2].".to_string()),
-        Op::Load("t1: c2[l1 => c4].\nt3: X :- t2: X.".to_string()),
-        Op::Retract("p(X) :- t1: X[l1 => Y].".to_string()),
-    ]
+    let mut loads = common::chunks().into_iter().map(Op::Load);
+    let mut ops: Vec<Op> = loads.next().into_iter().collect();
+    let retracted = ["t1: c3.", "t1: c1[l1 => c2].", "p(X) :- t1: X[l1 => Y]."];
+    for (load, clause) in loads.zip(retracted) {
+        ops.push(load);
+        ops.push(Op::Retract(clause.to_string()));
+    }
+    ops
 }
 
 fn apply(s: &mut Session, op: &Op) -> Result<(), SessionError> {
@@ -68,31 +56,11 @@ fn apply(s: &mut Session, op: &Op) -> Result<(), SessionError> {
 
 /// An uninterrupted, purely in-memory session applying the same history.
 fn baseline(ops: &[Op]) -> Session {
-    let mut s = Session::with_options(opts());
+    let mut s = common::baseline(&[]);
     for op in ops {
         apply(&mut s, op).expect("baseline op");
     }
     s
-}
-
-fn assert_equivalent(recovered: &mut Session, uninterrupted: &mut Session, context: &str) {
-    assert_eq!(
-        recovered.epoch(),
-        uninterrupted.epoch(),
-        "epoch after recovery ({context})"
-    );
-    assert_eq!(
-        recovered.program().to_string(),
-        uninterrupted.program().to_string(),
-        "recovered program and skolem identities ({context})"
-    );
-    for strategy in Strategy::ALL {
-        for q in QUERIES {
-            let r = common::evaluate(recovered, q, strategy).expect("recovered query");
-            let u = common::evaluate(uninterrupted, q, strategy).expect("baseline query");
-            assert_eq!(r.rendered(), u.rendered(), "{strategy:?} on {q} ({context})");
-        }
-    }
 }
 
 // ---------- semantics ----------
@@ -227,15 +195,13 @@ fn cached_models_are_patched_not_recomputed() {
     fresh
         .load("t1: c1[l1 => c2].\np(X) :- t1: X[l1 => Y].")
         .unwrap();
-    for q in QUERIES {
-        for strategy in [Strategy::BottomUpSemiNaive, Strategy::BottomUpNaive] {
-            assert_eq!(
-                common::evaluate(&mut s, q, strategy).unwrap().rendered(),
-                common::evaluate(&mut fresh, q, strategy).unwrap().rendered(),
-                "patched session disagrees under {strategy:?} on {q}"
-            );
-        }
-    }
+    common::assert_answers(
+        &mut s,
+        &mut fresh,
+        &[Strategy::BottomUpSemiNaive, Strategy::BottomUpNaive],
+        QUERIES,
+        "patched against fresh",
+    );
 }
 
 // ---------- serving: snapshot pinning ----------
@@ -326,7 +292,8 @@ fn interleaved_history_crash_at_every_prefix_recovers_identically() {
             apply(&mut r, op).unwrap();
         }
         let mut base = baseline(&ops);
-        assert_equivalent(&mut r, &mut base, &format!("crash_at={crash_at}"));
+        let context = format!("crash_at={crash_at}");
+        common::assert_equivalent(common::state(&r), &mut r, &mut base, QUERIES, &context);
     }
 }
 
@@ -386,25 +353,14 @@ fn chaos_scenario(ops: &[Op], trigger: u64, fault: Fault) {
 
     // Phase 4: equivalence with the uninterrupted history.
     let mut base = baseline(ops);
-    assert_equivalent(&mut r, &mut base, &context);
+    common::assert_equivalent(common::state(&r), &mut r, &mut base, QUERIES, &context);
 }
 
 #[test]
 fn chaos_sweep_kills_every_io_op_of_an_interleaved_history() {
     let ops = standard_ops();
 
-    // Measure a clean run's I/O operation count.
-    let mem = MemStorage::new();
-    let probe = ChaosStorage::new(mem, 0, Fault::Fail);
-    let counter = probe.op_counter();
-    {
-        let (mut s, _) = Session::recover_from(Box::new(probe), opts()).unwrap();
-        for op in &ops {
-            apply(&mut s, op).unwrap();
-        }
-    }
-    let total = counter.load(Ordering::Relaxed);
-    assert!(total > 10, "probe run did too little I/O ({total} ops)");
+    let total = common::clean_io_ops(|s| ops.iter().for_each(|op| apply(s, op).unwrap()));
 
     // Sweep: every operation of the clean run × every fault kind —
     // retraction commits (append, fsync, compaction) included.
@@ -417,65 +373,6 @@ fn chaos_sweep_kills_every_io_op_of_an_interleaved_history() {
 
 // ---------- proptest: retract ∘ assert ≡ never-asserted ----------
 
-fn const_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["c1", "c2", "c3", "c4", "c5"]).prop_map(str::to_string)
-}
-
-fn type_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["t1", "t2", "t3"]).prop_map(str::to_string)
-}
-
-fn label_name() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec!["l1", "l2"]).prop_map(str::to_string)
-}
-
-fn fact_src() -> impl ProptestStrategy<Value = String> {
-    (
-        type_name(),
-        const_name(),
-        prop::collection::vec((label_name(), const_name()), 0..3),
-    )
-        .prop_map(|(ty, id, pairs)| {
-            if pairs.is_empty() {
-                format!("{ty}: {id}.")
-            } else {
-                let specs = pairs
-                    .iter()
-                    .map(|(l, v)| format!("{l} => {v}"))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!("{ty}: {id}[{specs}].")
-            }
-        })
-}
-
-/// Two of the four rules mint skolem identities on load, so retracting
-/// a chunk containing them exercises the skolemized-text matching and
-/// the pinning of surviving identities.
-fn rule_src() -> impl ProptestStrategy<Value = String> {
-    prop::sample::select(vec![
-        "p(X) :- t1: X[l1 => Y].",
-        "t3: X :- t2: X.",
-        "t3: C[l2 => X] :- t1: X.",
-        "t3: D[l1 => X] :- t2: X[l2 => Y].",
-    ])
-    .prop_map(str::to_string)
-}
-
-/// A loadable chunk with no subtype declarations (those cannot be
-/// retracted; the base program may still declare one).
-fn chunk_src() -> impl ProptestStrategy<Value = String> {
-    (
-        prop::collection::vec(fact_src(), 1..4),
-        prop::collection::vec(rule_src(), 0..3),
-    )
-        .prop_map(|(facts, rules)| {
-            let mut lines = facts;
-            lines.extend(rules);
-            lines.join("\n")
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -485,25 +382,24 @@ proptest! {
     /// answer as if the chunk had never been loaded — the executable
     /// statement of `retract ∘ assert ≡ never-asserted`, with the DRed
     /// patch on the hot path because the models were already cached.
+    /// The chunk declares no subtype (a declaration cannot be
+    /// retracted); the base program may.
     #[test]
     fn retract_after_assert_equals_never_asserted(
-        base in prop::collection::vec(chunk_src(), 1..3),
-        declare in prop::bool::ANY,
-        extra in chunk_src(),
+        base in prop::collection::vec(corpus(Features::RULES), 1..3),
+        extra in corpus(Features::RULES),
     ) {
+        let queries = common::queries(base.iter().chain([&extra]));
         let mut with = Session::new();
-        if declare {
-            with.load("t1 < t2.").unwrap();
-        }
         for c in &base {
-            with.load(c).unwrap();
+            with.load(&c.program.to_string()).unwrap();
         }
         // Saturate and cache the models before the assert, as a serving
         // session would.
-        with.query("t3: O[l2 => V]", Strategy::BottomUpSemiNaive).unwrap();
+        with.query(&queries[0], Strategy::BottomUpSemiNaive).unwrap();
 
         let before = with.program().clauses.len();
-        with.load(&extra).unwrap();
+        with.load(&extra.chunk()).unwrap();
         let added: Vec<String> = with.program().clauses[before..]
             .iter()
             .map(|c| c.to_string())
@@ -512,29 +408,23 @@ proptest! {
         with.retract(&added.join("\n")).unwrap();
 
         let mut without = Session::new();
-        if declare {
-            without.load("t1 < t2.").unwrap();
-        }
         for c in &base {
-            without.load(c).unwrap();
+            without.load(&c.program.to_string()).unwrap();
         }
-        for strategy in Strategy::ALL {
-            for q in QUERIES {
-                prop_assert_eq!(
-                    common::evaluate(&mut with, q, strategy).unwrap().rendered(),
-                    common::evaluate(&mut without, q, strategy).unwrap().rendered(),
-                    "{:?} on {} after retracting\n{}\nfrom\n{}",
-                    strategy, q, added.join("\n"), with.program()
-                );
-            }
-        }
+        common::assert_answers(
+            &mut with,
+            &mut without,
+            &Strategy::ALL,
+            &queries,
+            &format!("after retracting\n{}", added.join("\n")),
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Pin a snapshot after every write of a random history of chunk
+    /// Pin a snapshot after every write of a generated history of chunk
     /// loads and single-clause retractions (each clause quoted as
     /// `Session::program` renders it). However far the session moves on,
     /// every pinned snapshot keeps answering its own epoch: under every
@@ -544,40 +434,40 @@ proptest! {
     /// it saturates over the compiled program that snapshot pinned.
     #[test]
     fn pinned_snapshots_keep_their_epoch_across_write_histories(
-        steps in prop::collection::vec((prop::bool::ANY, chunk_src(), 0usize..64), 2..5),
+        steps in prop::collection::vec(
+            (prop::bool::ANY, corpus(Features::RULES), 0usize..64),
+            2..5,
+        ),
     ) {
+        let queries = common::queries(steps.iter().map(|(_, case, _)| case));
         let mut s = Session::new();
         let mut ops = Vec::new();
         let mut pinned = Vec::new();
-        for (retract, chunk, pick) in steps {
+        for (retract, case, pick) in steps {
             let clauses = &s.program().clauses;
             let op = if retract && !clauses.is_empty() {
                 Op::Retract(clauses[pick % clauses.len()].to_string())
             } else {
-                Op::Load(chunk)
+                Op::Load(case.chunk())
             };
             apply(&mut s, &op).unwrap();
             ops.push(op);
             s.prepare().unwrap();
             pinned.push(s.current_snapshot().expect("prepare publishes"));
         }
-        let unlimited = Budget::unlimited();
         for (k, snap) in pinned.iter().enumerate() {
             let mut replay = Session::new();
             for op in &ops[..=k] {
                 apply(&mut replay, op).unwrap();
             }
             prop_assert_eq!(snap.epoch(), replay.epoch());
-            for strategy in Strategy::ALL {
-                for q in QUERIES {
-                    prop_assert_eq!(
-                        snap.query(q, strategy, &unlimited).unwrap().rendered(),
-                        common::evaluate(&mut replay, q, strategy).unwrap().rendered(),
-                        "{:?} on {} at step {} of {:?}",
-                        strategy, q, k, ops
-                    );
-                }
-            }
+            common::assert_answers(
+                &**snap,
+                &mut replay,
+                &Strategy::ALL,
+                &queries,
+                &format!("pinned at step {k} of {ops:?}"),
+            );
         }
     }
 }

@@ -4,25 +4,16 @@
 //! translated program.
 
 use clogic::core::decompose::{atoms, normalize, recombine, subsumes};
-use clogic::core::structure::{Assignment, Structure};
+use clogic::core::structure::Assignment;
 use clogic::core::transform::Transformer;
-use clogic::core::{Atomic, Program, Query, TypeHierarchy};
+use clogic::core::{Atomic, Query, TypeHierarchy};
 use clogic::session::{Session, Strategy};
 use clogic_parser::{parse_program, parse_query, parse_term};
+use common::least_model as least_model_structure;
 use folog::builtins::builtin_symbols;
 use folog::{evaluate, CompiledProgram, FixpointOptions};
 
-/// Least Herbrand model of a C-logic program, as a semantic structure.
-fn least_model_structure(p: &Program) -> Structure {
-    let fo = Transformer::new().program(p);
-    let compiled = CompiledProgram::compile(&fo, builtin_symbols());
-    let ev = evaluate(&compiled, FixpointOptions::default()).unwrap();
-    let mut sig = p.signature();
-    // the transformation introduces no new labels/types, so the program
-    // signature classifies the derived atoms
-    sig.types.insert(clogic::core::object_type());
-    Structure::from_ground_atoms(&ev.ground_atoms(), &sig)
-}
+mod common;
 
 #[test]
 fn molecule_satisfied_iff_all_atomic_pieces_are() {

@@ -17,17 +17,18 @@
 //! The chaos sweep mirrors `tests/recovery.rs`: measure a clean run's
 //! I/O operation count, then re-run once per (fault kind, trigger) pair
 //! with an intermittent fault burst at that operation — while a second
-//! thread hammers queries the whole time.
+//! thread hammers queries the whole time. The snapshot stress runs a
+//! writer publishing epochs in a loop while four readers pin snapshots:
+//! no reader may see a torn read.
 
 use clogic::folog::bottom_up::EvalError;
 use clogic::folog::Budget;
 use clogic::session::{
     Answers, Session, SessionError, SessionOptions, Strategy, ANSWER_CACHE_CAPACITY,
 };
-use clogic::store::{
-    ChaosStorage, Fault, MemStorage, RetryPolicy, RetryingStorage, Sleeper, Storage,
-};
-use clogic_serve::{ManagerOptions, ServeError, ServeOptions, Server, SessionManager, StorageFactory};
+use clogic::store::{ChaosStorage, Fault, MemStorage, RetryingStorage, Sleeper};
+use clogic_serve::{ManagerOptions, ServeError, ServeOptions, Server, SessionManager};
+use common::{baseline, chunks, fast_policy, opts, QUERIES};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,85 +37,12 @@ use std::time::Duration;
 
 mod common;
 
-const QUERIES: &[&str] = &["t2: X", "t3: O[l2 => V]", "p(X)", "t1: X[l1 => Y]"];
-
-/// Worker-pool width: pinned to at least 4 so the sweep genuinely runs
-/// queries in parallel (CI sets `SERVE_STRESS_THREADS` explicitly).
-fn workers() -> usize {
-    std::env::var("SERVE_STRESS_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-        .max(4)
-}
-
-/// Same shape as the recovery suite's chunks: facts, molecules, a
-/// subtype declaration, rules, and — crucially — an entity-creating rule
-/// whose head-only variable mints `skN` identities on load, so the
-/// equivalence checks also pin skolem identity against thread forking.
-fn chunks() -> Vec<String> {
-    vec![
-        "t1 < t2.\nt1: c1[l1 => c2].\nt3: C[l2 => X] :- t1: X.".to_string(),
-        "t1: c3.\np(X) :- t1: X[l1 => Y].".to_string(),
-        "t2: c4[l2 => c5].\nt3: D[l1 => X] :- t2: X[l2 => Y].".to_string(),
-        "t1: c2[l1 => c4].\nt3: X :- t2: X.".to_string(),
-    ]
-}
-
-fn opts() -> SessionOptions {
-    SessionOptions {
-        snapshot_every: Some(2),
-        ..SessionOptions::default()
-    }
-}
-
-/// A serial, uninterrupted session over the same loads.
-fn baseline(chunks: &[String]) -> Session {
-    let mut s = Session::with_options(opts());
-    for c in chunks {
-        s.load(c).expect("baseline load");
-    }
-    s
-}
+/// Worker-pool width: at least four, so the sweeps genuinely run
+/// queries in parallel.
+const WORKERS: usize = 4;
 
 fn no_sleep() -> Sleeper {
     Arc::new(|_| {})
-}
-
-fn fast_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_retries: 3,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(4),
-        breaker_threshold: 2,
-        probe_after: 2,
-    }
-}
-
-/// Every strategy's answers through the server must equal the serial
-/// baseline's — program text too, which pins the skolem identities.
-fn assert_equivalent(server: &Server, base: &mut Session, queries: &[&str], context: &str) {
-    server.with_session(|s| {
-        assert_eq!(s.epoch(), base.epoch(), "epoch ({context})");
-        assert_eq!(
-            s.program().to_string(),
-            base.program().to_string(),
-            "program and skolem identities ({context})"
-        );
-    });
-    for strategy in Strategy::ALL {
-        for q in queries {
-            let served = server
-                .query(q, strategy)
-                .unwrap_or_else(|e| panic!("served {strategy:?} on {q} ({context}): {e}"));
-            let serial = common::evaluate(base, q, strategy).expect("baseline query");
-            assert_eq!(
-                served.rendered(),
-                serial.rendered(),
-                "{strategy:?} on {q} ({context})"
-            );
-        }
-    }
 }
 
 /// Zero faults: a pool of ≥4 workers answering interleaved queries under
@@ -128,7 +56,7 @@ fn parallel_equals_serial_on_all_strategies_with_zero_faults() {
     let server = Server::start(
         session,
         ServeOptions {
-            workers: workers(),
+            workers: WORKERS,
             queue_depth: 1024,
             default_deadline: None,
         },
@@ -155,7 +83,8 @@ fn parallel_equals_serial_on_all_strategies_with_zero_faults() {
         }
     });
 
-    assert_equivalent(&server, &mut base, QUERIES, "zero faults");
+    let state = server.with_session(|s| common::state(s));
+    common::assert_equivalent(state, &server, &mut base, QUERIES, "zero faults");
     let snap = server.obs().metrics.snapshot();
     assert_eq!(snap.counter("serve.shed").unwrap_or(0), 0, "no sheds");
     assert_eq!(snap.counter("serve.retry").unwrap_or(0), 0, "no retries");
@@ -194,8 +123,7 @@ fn pinned_snapshot_readers_never_see_torn_epochs() {
                 .rendered(),
         )
     };
-    let mut base = Session::with_options(opts());
-    base.load(&chunks[0]).expect("seed load");
+    let mut base = baseline(&chunks[..1]);
     let mut expected = HashMap::new();
     expected.insert(base.epoch(), expect(&mut base));
     for src in &script {
@@ -203,13 +131,12 @@ fn pinned_snapshot_readers_never_see_torn_epochs() {
         expected.insert(base.epoch(), expect(&mut base));
     }
 
-    let mut seed = Session::with_options(opts());
-    seed.load(&chunks[0]).expect("seed load");
+    let mut seed = baseline(&chunks[..1]);
     seed.prepare().expect("publish the first snapshot");
     let server = Server::start(
         seed,
         ServeOptions {
-            workers: workers(),
+            workers: WORKERS,
             queue_depth: 1024,
             default_deadline: None,
         },
@@ -226,7 +153,7 @@ fn pinned_snapshot_readers_never_see_torn_epochs() {
         // Pinned readers: grab one snapshot, answer both queries from
         // it. The pin must stay internally consistent even though the
         // writer publishes newer epochs underneath.
-        for _ in 0..workers() {
+        for _ in 0..WORKERS {
             scope.spawn(|| {
                 while !done.load(Ordering::Acquire) {
                     let Some(pin) = cell.load() else { continue };
@@ -292,7 +219,7 @@ fn chaos_serve_scenario(chunks: &[String], trigger: u64, fault: Fault) {
     let server = Server::start(
         session,
         ServeOptions {
-            workers: workers(),
+            workers: WORKERS,
             queue_depth: 1024,
             default_deadline: None,
         },
@@ -331,7 +258,8 @@ fn chaos_serve_scenario(chunks: &[String], trigger: u64, fault: Fault) {
     });
 
     let mut base = baseline(chunks);
-    assert_equivalent(&server, &mut base, &QUERIES[..2], &context);
+    let state = server.with_session(|s| common::state(s));
+    common::assert_equivalent(state, &server, &mut base, &QUERIES[..2], &context);
     let snap = server.obs().metrics.snapshot();
     assert_eq!(snap.counter("serve.worker_panics").unwrap_or(0), 0);
     assert_eq!(snap.counter("serve.shed").unwrap_or(0), 0, "{context}");
@@ -344,18 +272,7 @@ fn chaos_serve_scenario(chunks: &[String], trigger: u64, fault: Fault) {
 fn chaos_sweep_concurrent_serving_never_loses_answers() {
     let chunks = chunks();
 
-    // Measure the clean run's operation count (trigger 0 never fires).
-    let mem = MemStorage::new();
-    let probe = ChaosStorage::new(mem, 0, Fault::Fail);
-    let ops = probe.op_counter();
-    {
-        let (mut s, _) = Session::recover_from(Box::new(probe), opts()).unwrap();
-        for c in &chunks {
-            s.load(c).unwrap();
-        }
-    }
-    let total = ops.load(Ordering::Relaxed);
-    assert!(total > 10, "probe run did too little I/O ({total} ops)");
+    let total = common::clean_io_ops(|s| chunks.iter().for_each(|c| s.load(c).unwrap()));
 
     for fault in Fault::ALL {
         for trigger in 1..=total {
@@ -393,7 +310,7 @@ fn breaker_opens_under_outage_and_recovers_read_only_service() {
     let server = Server::start(
         session,
         ServeOptions {
-            workers: workers(),
+            workers: WORKERS,
             queue_depth: 1024,
             default_deadline: None,
         },
@@ -459,8 +376,7 @@ fn breaker_opens_under_outage_and_recovers_read_only_service() {
 /// *accepted* submission still gets its answer.
 #[test]
 fn overload_sheds_structurally_and_answers_the_accepted() {
-    let mut s = Session::with_options(opts());
-    s.load(&chunks()[0]).unwrap();
+    let s = baseline(&chunks()[..1]);
     let server = Server::start(
         s,
         ServeOptions {
@@ -507,8 +423,7 @@ fn fixpoint_evaluations(s: &Session) -> u64 {
 fn prepare_runs_one_fixpoint_per_write_and_snapshots_saturate_naive_once() {
     let chunks = chunks();
     let unlimited = Budget::unlimited();
-    let mut s = Session::with_options(opts());
-    s.load(&chunks[0]).unwrap();
+    let mut s = baseline(&chunks[..1]);
     s.prepare().unwrap();
     for c in &chunks[1..3] {
         let before = fixpoint_evaluations(&s);
@@ -562,8 +477,7 @@ fn prepare_runs_one_fixpoint_per_write_and_snapshots_saturate_naive_once() {
 /// after an insert still hits.
 #[test]
 fn snapshot_answer_cache_is_bounded() {
-    let mut s = Session::with_options(opts());
-    s.load(&chunks()[0]).unwrap();
+    let mut s = baseline(&chunks()[..1]);
     s.prepare().unwrap();
     let snap = s.current_snapshot().expect("prepare publishes a snapshot");
     let unlimited = Budget::unlimited();
@@ -603,7 +517,7 @@ fn is_unstratifiable(r: Result<Answers, ServeError>) -> bool {
 fn unstratifiable_load_keeps_a_persistent_server_writable() {
     const CYCLE: &str = "p: X :- seed: X, \\+ q: X.\nq: X :- seed: X, \\+ p: X.";
     let serve_opts = || ServeOptions {
-        workers: workers(),
+        workers: WORKERS,
         queue_depth: 1024,
         default_deadline: None,
     };
@@ -625,10 +539,7 @@ fn unstratifiable_load_keeps_a_persistent_server_writable() {
     let (session, report) = Session::recover_from(Box::new(mem.clone()), opts()).unwrap();
     assert_eq!(report.recovered_epoch, 3);
     let server = Server::start(session, serve_opts()).expect("restart over the store");
-    let mut exclusive = Session::with_options(opts());
-    for src in ["seed: s.", CYCLE, "seed: t."] {
-        exclusive.load(src).unwrap();
-    }
+    let mut exclusive = baseline(&["seed: s.", CYCLE, "seed: t."].map(String::from));
     for strategy in [Strategy::Direct, Strategy::Sld, Strategy::Tabled, Strategy::Magic] {
         let served = match server.query("seed: X", strategy) {
             Ok(a) => Ok(a.rendered()),
@@ -650,12 +561,7 @@ fn unstratifiable_load_keeps_a_persistent_server_writable() {
     server.shutdown();
 
     // A tenant holding the cycle can be evicted and reopened.
-    let stores = Arc::new(Mutex::new(HashMap::<String, MemStorage>::new()));
-    let factory: StorageFactory = Arc::new(move |name| {
-        let mut stores = stores.lock().unwrap();
-        Ok(Box::new(stores.entry(name.to_string()).or_default().clone()) as Box<dyn Storage>)
-    });
-    let mgr = SessionManager::new(factory, ManagerOptions::default());
+    let mgr = SessionManager::new(common::mem_factory(), ManagerOptions::default());
     mgr.load("a", CYCLE).unwrap();
     mgr.load("a", "seed: s.").unwrap();
     assert!(mgr.evict("a").unwrap());
@@ -698,7 +604,7 @@ proptest! {
         let server = Server::start(
             baseline(&loaded),
             ServeOptions {
-                workers: workers(),
+                workers: WORKERS,
                 queue_depth: 1024,
                 default_deadline: None,
             },

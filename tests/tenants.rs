@@ -23,97 +23,55 @@
 //! (fault kind, trigger) pair.
 
 use clogic::obs::{Json, Obs};
-use clogic::session::{Session, SessionOptions, Strategy};
-use clogic::store::{ChaosStorage, Fault, MemStorage, RetryPolicy, Storage};
+use clogic::session::{Session, Strategy};
+use clogic::store::{ChaosStorage, Fault, MemStorage, Storage};
 use clogic_serve::protocol::get;
 use clogic_serve::{
-    Client, ManagerOptions, Request, RequestOp, SessionManager, StorageFactory, TcpFront,
-    TcpFrontOptions, TenantState,
+    Client, Request, RequestOp, SessionManager, StorageFactory, TcpFront, TcpFrontOptions,
+    TenantState,
 };
+use common::{baseline, chunks, manager_opts, mem_factory, Served, Tenant, QUERIES};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 mod common;
 
-const QUERIES: &[&str] = &["t2: X", "t3: O[l2 => V]", "p(X)", "t1: X[l1 => Y]"];
-
-/// Same shape as the serve/recovery suites: facts, molecules, a subtype
-/// declaration, rules, and an entity-creating rule whose head-only
-/// variable mints `skN` identities on load — so equivalence checks also
-/// pin skolem identity across eviction and recovery.
-fn chunks() -> Vec<String> {
-    vec![
-        "t1 < t2.\nt1: c1[l1 => c2].\nt3: C[l2 => X] :- t1: X.".to_string(),
-        "t1: c3.\np(X) :- t1: X[l1 => Y].".to_string(),
-        "t2: c4[l2 => c5].\nt3: D[l1 => X] :- t2: X[l2 => Y].".to_string(),
-        "t1: c2[l1 => c4].\nt3: X :- t2: X.".to_string(),
-    ]
-}
-
-fn fast_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_retries: 3,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(4),
-        breaker_threshold: 2,
-        probe_after: 2,
-    }
-}
-
-fn manager_opts(obs: &Obs, capacity: usize) -> ManagerOptions {
-    ManagerOptions {
-        capacity,
-        retry: fast_policy(),
-        session: SessionOptions {
-            snapshot_every: Some(2),
-            obs: obs.clone(),
-            ..SessionOptions::default()
-        },
-        sleeper: Arc::new(|_| {}),
-    }
-}
-
-/// A serial, non-persistent session over the same load sequence — the
-/// ground truth every tenant must match.
-fn serial(loads: &[String]) -> Session {
-    let mut s = Session::with_options(SessionOptions {
-        snapshot_every: Some(2),
-        ..SessionOptions::default()
-    });
-    for c in loads {
-        s.load(c).expect("serial load");
-    }
-    s
-}
-
-type Stores = Arc<Mutex<HashMap<String, MemStorage>>>;
-
-/// A factory handing each tenant its own `MemStorage`, stable across
-/// evictions (clones share bytes).
-fn mem_factory(stores: &Stores) -> StorageFactory {
-    let stores = Arc::clone(stores);
-    Arc::new(move |name| {
-        let mut stores = stores.lock().unwrap();
-        Ok(Box::new(stores.entry(name.to_string()).or_default().clone()) as Box<dyn Storage>)
-    })
-}
-
-/// Ops a clean open + first-chunk load costs through the manager,
-/// measured with a pure-counter chaos — so outage triggers can be placed
-/// right after the first load without hardcoding the durability
-/// protocol's op sequence.
-fn first_load_clean_ops(chunks: &[String]) -> u64 {
+/// The storage operations `run` costs through a manager whose one
+/// tenant opens a pure-counter chaos store, so fault triggers can be
+/// placed without hardcoding the durability protocol's op sequence.
+fn manager_clean_ops(run: impl FnOnce(&SessionManager)) -> u64 {
     let chaos = ChaosStorage::new(MemStorage::new(), 0, Fault::Fail);
     let counter = chaos.op_counter();
     let slot = Arc::new(Mutex::new(Some(Box::new(chaos) as Box<dyn Storage>)));
     let factory: StorageFactory =
         Arc::new(move |_| Ok(slot.lock().unwrap().take().expect("probe tenant opens once")));
     let mgr = SessionManager::new(factory, manager_opts(&Obs::new(), 4));
-    mgr.load("probe", &chunks[0]).expect("clean probe load");
+    run(&mgr);
     counter.load(Ordering::Relaxed)
+}
+
+/// Tenant `wire` behind a TCP front, queried through `client`.
+struct Wire<'a>(&'a mut Client);
+
+impl Served for Wire<'_> {
+    fn answers(&mut self, query: &str, strategy: Strategy) -> Vec<String> {
+        let resp = self
+            .0
+            .request(&Request {
+                tenant: "wire".into(),
+                op: RequestOp::Query {
+                    src: query.to_string(),
+                    strategy,
+                    deadline_ms: Some(30_000),
+                },
+            })
+            .unwrap();
+        assert_eq!(get(&resp, "ok"), Some(&Json::Bool(true)), "{strategy:?} {query}: {resp}");
+        assert_eq!(get(&resp, "complete"), Some(&Json::Bool(true)));
+        common::wire_rows(&resp)
+    }
 }
 
 /// Every strategy's answers through the manager must equal the serial
@@ -124,31 +82,11 @@ fn assert_tenant_equals_serial(
     base: &mut Session,
     context: &str,
 ) {
-    {
-        let pin = mgr
-            .open(name)
-            .unwrap_or_else(|e| panic!("open {name} ({context}): {e}"));
-        let s = pin.lock().unwrap_or_else(|e| e.into_inner());
-        assert_eq!(s.epoch(), base.epoch(), "epoch ({context})");
-        assert_eq!(
-            s.program().to_string(),
-            base.program().to_string(),
-            "program and skolem identities ({context})"
-        );
-    }
-    for strategy in Strategy::ALL {
-        for q in QUERIES {
-            let served = mgr
-                .query(name, q, strategy)
-                .unwrap_or_else(|e| panic!("{strategy:?} on {q} ({context}): {e}"));
-            let expected = common::evaluate(base, q, strategy).expect("serial query");
-            assert_eq!(
-                served.rendered(),
-                expected.rendered(),
-                "{strategy:?} on {q} ({context})"
-            );
-        }
-    }
+    let pin = mgr
+        .open(name)
+        .unwrap_or_else(|e| panic!("open {name} ({context}): {e}"));
+    let state = common::state(&pin.lock().unwrap_or_else(|e| e.into_inner()));
+    common::assert_equivalent(state, Tenant(mgr, name), base, QUERIES, context);
 }
 
 /// The acceptance scenario: one tenant's storage goes down permanently
@@ -162,11 +100,13 @@ fn assert_tenant_equals_serial(
 fn sick_tenant_is_read_only_while_neighby_tenants_serve_unaffected() {
     let chunks = chunks();
     let healthy: Vec<String> = (0..4).map(|i| format!("h{i}")).collect();
-    let trigger = first_load_clean_ops(&chunks) + 1;
+    // Right after the first load.
+    let trigger = manager_clean_ops(|m| {
+        m.load("probe", &chunks[0]).expect("clean probe load");
+    }) + 1;
 
     let obs = Obs::new();
-    let stores: Stores = Arc::new(Mutex::new(HashMap::new()));
-    let mem = mem_factory(&stores);
+    let mem = mem_factory();
     let factory: StorageFactory = Arc::new(move |name| {
         let storage = mem(name)?;
         if name == "sick" {
@@ -207,14 +147,8 @@ fn sick_tenant_is_read_only_while_neighby_tenants_serve_unaffected() {
             );
             // Read-only service: the unpersisted loads still answer,
             // identically to a serial session, under every strategy.
-            let mut base = serial(chunks);
-            for strategy in Strategy::ALL {
-                for q in QUERIES {
-                    let served = mgr.query("sick", q, strategy).unwrap();
-                    let expected = common::evaluate(&mut base, q, strategy).unwrap();
-                    assert_eq!(served.rendered(), expected.rendered(), "sick {strategy:?} {q}");
-                }
-            }
+            let mut base = baseline(chunks);
+            common::assert_answers(Tenant(mgr, "sick"), &mut base, &Strategy::ALL, QUERIES, "sick");
         });
         for name in &healthy {
             scope.spawn(move || {
@@ -223,18 +157,8 @@ fn sick_tenant_is_read_only_while_neighby_tenants_serve_unaffected() {
                     assert!(report.persisted(), "healthy {name} must persist every load");
                     assert!(!report.breaker_open, "healthy {name} breaker must stay closed");
                 }
-                let mut base = serial(chunks);
-                for strategy in Strategy::ALL {
-                    for q in QUERIES {
-                        let served = mgr.query(name, q, strategy).unwrap();
-                        let expected = common::evaluate(&mut base, q, strategy).unwrap();
-                        assert_eq!(
-                            served.rendered(),
-                            expected.rendered(),
-                            "{name} {strategy:?} {q}"
-                        );
-                    }
-                }
+                let mut base = baseline(chunks);
+                common::assert_answers(Tenant(mgr, name), &mut base, &Strategy::ALL, QUERIES, name);
             });
         }
     });
@@ -288,12 +212,14 @@ fn sick_tenant_is_read_only_while_neighby_tenants_serve_unaffected() {
 #[test]
 fn eviction_mid_outage_is_deferred_until_the_disk_heals() {
     let chunks = chunks();
-    let trigger = first_load_clean_ops(&chunks) + 1;
+    // Right after the first load.
+    let trigger = manager_clean_ops(|m| {
+        m.load("probe", &chunks[0]).expect("clean probe load");
+    }) + 1;
     const BURST: u64 = 9;
 
     let obs = Obs::new();
-    let stores: Stores = Arc::new(Mutex::new(HashMap::new()));
-    let mem = mem_factory(&stores);
+    let mem = mem_factory();
     let factory: StorageFactory = Arc::new(move |name| {
         let storage = mem(name)?;
         if name == "t" {
@@ -359,24 +285,8 @@ fn eviction_mid_outage_is_deferred_until_the_disk_heals() {
             .state,
         TenantState::Evicted
     );
-    let mut base = serial(&applied);
+    let mut base = baseline(&applied);
     assert_tenant_equals_serial(&mgr, "t", &mut base, "post-outage recovery");
-}
-
-/// Ops a clean open + all-chunk load + explicit evict costs, for the
-/// fault-boundary sweep below.
-fn scenario_clean_ops(chunks: &[String]) -> u64 {
-    let chaos = ChaosStorage::new(MemStorage::new(), 0, Fault::Fail);
-    let counter = chaos.op_counter();
-    let slot = Arc::new(Mutex::new(Some(Box::new(chaos) as Box<dyn Storage>)));
-    let factory: StorageFactory =
-        Arc::new(move |_| Ok(slot.lock().unwrap().take().expect("probe tenant opens once")));
-    let mgr = SessionManager::new(factory, manager_opts(&Obs::new(), 4));
-    for c in chunks {
-        mgr.load("t", c).expect("clean probe load");
-    }
-    assert!(mgr.evict("t").expect("clean probe evict"));
-    counter.load(Ordering::Relaxed)
 }
 
 /// One sweep cell: load every chunk with a one-shot `fault` at operation
@@ -388,8 +298,7 @@ fn scenario_clean_ops(chunks: &[String]) -> u64 {
 fn assert_evict_recover_equivalent(fault: Fault, trigger: u64) {
     let chunks = chunks();
     let context = format!("{fault:?}@{trigger}");
-    let stores: Stores = Arc::new(Mutex::new(HashMap::new()));
-    let mem = mem_factory(&stores);
+    let mem = mem_factory();
     let factory: StorageFactory = Arc::new(move |name| {
         let storage = mem(name)?;
         Ok(Box::new(ChaosStorage::new(storage, trigger, fault)) as Box<dyn Storage>)
@@ -418,7 +327,7 @@ fn assert_evict_recover_equivalent(fault: Fault, trigger: u64) {
         "{context}"
     );
 
-    let mut base = serial(&chunks);
+    let mut base = baseline(&chunks);
     assert_tenant_equals_serial(&mgr, "t", &mut base, &context);
 }
 
@@ -426,7 +335,13 @@ fn assert_evict_recover_equivalent(fault: Fault, trigger: u64) {
 /// scenario, for every fault kind.
 #[test]
 fn evict_recover_equals_never_evicted_across_all_fault_boundaries() {
-    let total = scenario_clean_ops(&chunks());
+    // Every op of a clean open, all-chunk load and explicit evict.
+    let total = manager_clean_ops(|m| {
+        for c in &chunks() {
+            m.load("t", c).expect("clean probe load");
+        }
+        assert!(m.evict("t").expect("clean probe evict"));
+    });
     assert!(total >= 10, "probe sanity: only {total} clean ops");
     for fault in Fault::ALL {
         for trigger in 1..=total {
@@ -457,8 +372,7 @@ fn lru_eviction_bounds_resident_sessions_at_capacity() {
     const CAPACITY: usize = 4;
     const TENANTS: usize = 20;
     let obs = Obs::new();
-    let stores: Stores = Arc::new(Mutex::new(HashMap::new()));
-    let mgr = SessionManager::new(mem_factory(&stores), manager_opts(&obs, CAPACITY));
+    let mgr = SessionManager::new(mem_factory(), manager_opts(&obs, CAPACITY));
 
     for i in 0..TENANTS {
         mgr.load(&format!("tenant{i:02}"), &format!("t{i}: c{i}."))
@@ -494,11 +408,7 @@ fn lru_eviction_bounds_resident_sessions_at_capacity() {
 fn tcp_front_round_trips_load_query_status_and_errors() {
     let chunks = chunks();
     let obs = Obs::new();
-    let stores: Stores = Arc::new(Mutex::new(HashMap::new()));
-    let mgr = Arc::new(SessionManager::new(
-        mem_factory(&stores),
-        manager_opts(&obs, 8),
-    ));
+    let mgr = Arc::new(SessionManager::new(mem_factory(), manager_opts(&obs, 8)));
     let front = TcpFront::start(Arc::clone(&mgr), "127.0.0.1:0", TcpFrontOptions::default())
         .expect("bind ephemeral port");
     let mut client = Client::connect(front.addr()).expect("connect");
@@ -519,51 +429,8 @@ fn tcp_front_round_trips_load_query_status_and_errors() {
 
     // Query under every strategy; bindings must match the serial session
     // exactly, through the JSON round trip.
-    let mut base = serial(&chunks);
-    for strategy in Strategy::ALL {
-        for q in QUERIES {
-            let resp = client
-                .request(&Request {
-                    tenant: "wire".into(),
-                    op: RequestOp::Query {
-                        src: q.to_string(),
-                        strategy,
-                        deadline_ms: Some(30_000),
-                    },
-                })
-                .unwrap();
-            assert_eq!(get(&resp, "ok"), Some(&Json::Bool(true)), "{strategy:?} {q}: {resp}");
-            assert_eq!(get(&resp, "complete"), Some(&Json::Bool(true)));
-            let Some(Json::Array(rows)) = get(&resp, "rows") else {
-                panic!("rows missing in {resp}");
-            };
-            let got: Vec<Vec<(String, String)>> = rows
-                .iter()
-                .map(|row| match row {
-                    Json::Object(fields) => fields
-                        .iter()
-                        .map(|(k, v)| match v {
-                            Json::Str(s) => (k.clone(), s.clone()),
-                            other => (k.clone(), other.to_string()),
-                        })
-                        .collect(),
-                    other => panic!("row is not an object: {other}"),
-                })
-                .collect();
-            let expected: Vec<Vec<(String, String)>> = common::evaluate(&mut base, q, strategy)
-                .unwrap()
-                .rows
-                .iter()
-                .map(|row| {
-                    row.bindings
-                        .iter()
-                        .map(|(var, term)| (var.to_string(), term.to_string()))
-                        .collect()
-                })
-                .collect();
-            assert_eq!(got, expected, "{strategy:?} on {q}");
-        }
-    }
+    let mut base = baseline(&chunks);
+    common::assert_answers(Wire(&mut client), &mut base, &Strategy::ALL, QUERIES, "wire");
 
     // Status lists the tenant as live.
     let resp = client
