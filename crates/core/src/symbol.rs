@@ -9,6 +9,12 @@
 //! The interner is append-only: symbols are never freed. This is the usual
 //! trade-off for logic engines, where the set of distinct symbols is small
 //! and stable relative to the number of terms built over them.
+//!
+//! Resolving a handle takes no lock. The strings live in a fixed array of
+//! lazily allocated segments of doubling size, one write-once slot per
+//! handle; a slot is filled under the interning lock before its handle is
+//! returned, so every handle a thread can hold resolves. Only interning a
+//! string takes the lock: a read lock to find it, the write lock to add it.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -38,55 +44,64 @@ impl PartialOrd for Symbol {
     }
 }
 
-struct Interner {
-    /// Map from string to handle.
-    map: HashMap<Box<str>, u32>,
-    /// Handle to string; index is the `Symbol` payload.
-    strings: Vec<&'static str>,
+/// Slots in the first segment, as a power of two; segment `k` holds
+/// `FIRST << k` slots.
+const FIRST_BITS: u32 = 5;
+/// Enough segments for every `u32` handle.
+const SEGMENTS: usize = 33 - FIRST_BITS as usize;
+
+type Slot = OnceLock<&'static str>;
+
+/// Handle → string, readable without a lock.
+static STRINGS: [OnceLock<Box<[Slot]>>; SEGMENTS] = [const { OnceLock::new() }; SEGMENTS];
+
+/// The segment and offset of handle `id`: handles `(FIRST << k) - FIRST ..
+/// (FIRST << (k + 1)) - FIRST` live in segment `k`.
+fn slot_of(id: u32) -> (usize, usize) {
+    let n = u64::from(id) + (1 << FIRST_BITS);
+    let msb = 63 - n.leading_zeros();
+    ((msb - FIRST_BITS) as usize, (n - (1 << msb)) as usize)
 }
 
-impl Interner {
-    fn new() -> Self {
-        Interner {
-            map: HashMap::new(),
-            strings: Vec::new(),
-        }
-    }
-
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.map.get(s) {
-            return id;
-        }
-        let boxed: Box<str> = s.into();
-        // Leak a stable copy so `as_str` can hand out `&'static str`
-        // without holding the lock. Interned strings live for the process
-        // lifetime by design.
-        let leaked: &'static str = Box::leak(boxed.clone());
-        let id = self.strings.len() as u32;
-        self.strings.push(leaked);
-        self.map.insert(boxed, id);
-        id
-    }
-}
-
-fn interner() -> &'static RwLock<Interner> {
-    static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| RwLock::new(Interner::new()))
+/// String → handle; its lock orders interning, never resolution.
+fn handles() -> &'static RwLock<HashMap<&'static str, u32>> {
+    static HANDLES: OnceLock<RwLock<HashMap<&'static str, u32>>> = OnceLock::new();
+    HANDLES.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
 impl Symbol {
     /// Intern `s`, returning its handle. Idempotent.
     pub fn new(s: &str) -> Symbol {
-        // Fast path: read lock only.
-        if let Some(&id) = interner().read().expect("interner lock poisoned").map.get(s) {
+        if let Some(&id) = handles().read().expect("interner lock poisoned").get(s) {
             return Symbol(id);
         }
-        Symbol(interner().write().expect("interner lock poisoned").intern(s))
+        let mut map = handles().write().expect("interner lock poisoned");
+        if let Some(&id) = map.get(s) {
+            return Symbol(id);
+        }
+        let id = u32::try_from(map.len()).expect("interner full");
+        // Interned strings live for the process lifetime by design.
+        let leaked: &'static str = Box::leak(s.into());
+        let (seg, off) = slot_of(id);
+        let segment = STRINGS[seg].get_or_init(|| {
+            (0..1usize << (seg as u32 + FIRST_BITS))
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        segment[off]
+            .set(leaked)
+            .expect("each slot is written once, under the write lock");
+        map.insert(leaked, id);
+        Symbol(id)
     }
 
-    /// Resolve the handle back to the interned string.
+    /// Resolve the handle back to the interned string. Takes no lock.
     pub fn as_str(self) -> &'static str {
-        interner().read().expect("interner lock poisoned").strings[self.0 as usize]
+        let (seg, off) = slot_of(self.0);
+        STRINGS[seg]
+            .get()
+            .and_then(|segment| segment[off].get())
+            .expect("a handle is returned only after its slot is written")
     }
 
     /// The raw index of this symbol in the intern table. Stable for the
@@ -181,6 +196,56 @@ mod tests {
             .collect();
         let ids: Vec<Symbol> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert!(ids.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn slots_tile_the_handle_space() {
+        assert_eq!(slot_of(0), (0, 0));
+        assert_eq!(slot_of(31), (0, 31));
+        assert_eq!(slot_of(32), (1, 0));
+        assert_eq!(slot_of(95), (1, 63));
+        assert_eq!(slot_of(96), (2, 0));
+        assert_eq!(slot_of(u32::MAX).0, SEGMENTS - 1);
+    }
+
+    #[test]
+    fn resolving_while_other_threads_intern() {
+        let known: Vec<Symbol> = (0..200).map(|i| sym(&format!("known-{i}"))).collect();
+        let writers: Vec<_> = (0..2)
+            .map(|w| {
+                thread::spawn(move || {
+                    (0..2_000)
+                        .map(|i| {
+                            let name = format!("fresh-{w}-{i}");
+                            let s = Symbol::new(&name);
+                            assert_eq!(s.as_str(), name);
+                            s
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let known = known.clone();
+                thread::spawn(move || {
+                    for _ in 0..50 {
+                        for (i, s) in known.iter().enumerate() {
+                            assert_eq!(s.as_str(), format!("known-{i}"));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for r in readers {
+            r.join().unwrap();
+        }
+        for (w, h) in writers.into_iter().enumerate() {
+            for (i, s) in h.join().unwrap().into_iter().enumerate() {
+                assert_eq!(s, sym(&format!("fresh-{w}-{i}")));
+                assert_eq!(s.as_str(), format!("fresh-{w}-{i}"));
+            }
+        }
     }
 
     #[test]

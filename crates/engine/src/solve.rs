@@ -479,7 +479,8 @@ impl Search<'_> {
         depth: usize,
         emit: &mut impl FnMut(&Bindings),
     ) -> Result<bool, BuiltinError> {
-        if self.p.builtins.contains(&pred) {
+        // By symbol id: the set's own lookup compares strings.
+        if self.p.builtins.iter().any(|&b| b == pred) {
             let goal = RAtom {
                 pred,
                 args: args.to_vec(),

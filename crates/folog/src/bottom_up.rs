@@ -1107,6 +1107,17 @@ pub(crate) fn run_stratum<P: ClauseView>(
                         continue;
                     }
                     for &delta_pos in &body_derivable {
+                        // An empty delta joins nothing (`eval_body` puts the
+                        // delta atom first): skip it before planning.
+                        let atom = &rule.body[delta_pos];
+                        let key = (atom.pred, atom.args.len());
+                        let delta_empty = match current_frontiers.get(&key) {
+                            Some(f) => f.old >= f.cur,
+                            None => ev.facts.relation(key.0, key.1).is_none_or(|r| r.is_empty()),
+                        };
+                        if delta_empty {
+                            continue;
+                        }
                         ev.stats.rule_activations += 1;
                         eval_rule(
                             rule,

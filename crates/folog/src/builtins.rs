@@ -14,6 +14,7 @@ use crate::unify::{unify, Bindings};
 use clogic_core::symbol::Symbol;
 use clogic_core::term::Const;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Errors raised by built-in evaluation (Prolog would throw; the engines
 /// surface these to the caller).
@@ -49,18 +50,25 @@ impl fmt::Display for BuiltinError {
 
 impl std::error::Error for BuiltinError {}
 
-/// Names of the built-in predicates this module evaluates.
-pub fn builtin_symbols() -> impl Iterator<Item = Symbol> {
-    [
-        "is", "<", ">", "=<", ">=", "=:=", "=\\=", "=", "\\=", "==", "\\==",
-    ]
-    .into_iter()
-    .map(Symbol::new)
+/// The built-in predicates this module evaluates, interned once.
+fn builtin_table() -> &'static [Symbol; 11] {
+    static TABLE: OnceLock<[Symbol; 11]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        [
+            "is", "<", ">", "=<", ">=", "=:=", "=\\=", "=", "\\=", "==", "\\==",
+        ]
+        .map(Symbol::new)
+    })
 }
 
-/// Whether `pred` is one of the built-ins evaluated here.
+/// Names of the built-in predicates this module evaluates.
+pub fn builtin_symbols() -> impl Iterator<Item = Symbol> {
+    builtin_table().iter().copied()
+}
+
+/// Whether `pred` is one of the built-ins evaluated here (by symbol id).
 pub fn is_builtin(pred: Symbol) -> bool {
-    builtin_symbols().any(|s| s == pred)
+    builtin_table().contains(&pred)
 }
 
 fn arith_binop(f: Symbol, a: i64, b: i64) -> Result<i64, BuiltinError> {

@@ -18,7 +18,8 @@
 //! * tabled evaluation that terminates on recursive programs over cyclic
 //!   data ([`tabling`]);
 //! * the magic-sets transformation for goal-directed bottom-up runs
-//!   ([`magic`]);
+//!   ([`magic`]), with the bound-first goal order it shares with tabling
+//!   ([`sips`]);
 //! * arithmetic and comparison built-ins ([`builtins`]);
 //! * incremental retraction via a DRed delete-rederive pass
 //!   ([`retract`]).
@@ -34,6 +35,7 @@ pub mod magic;
 pub mod program;
 pub mod retract;
 pub mod rterm;
+pub mod sips;
 pub mod sld;
 pub mod tabling;
 pub mod unify;

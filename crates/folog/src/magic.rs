@@ -4,17 +4,25 @@
 //! least model even when the query touches a corner of it. Magic sets
 //! rewrite the program so that the fixpoint derives only facts relevant to
 //! the query: each derivable predicate is *adorned* with the
-//! bound/free pattern of its calls (left-to-right sideways information
-//! passing), a `magic` predicate collects the bound argument tuples that
-//! can actually be asked, and every rule is guarded by the magic predicate
-//! of its head.
+//! bound/free pattern of its calls, a `magic` predicate collects the bound
+//! argument tuples that can actually be asked, and every rule is guarded
+//! by the magic predicate of its head.
+//!
+//! Bindings pass bound-first ([`bound_first`]): the query and every rule
+//! body, under its head's adornment, are ordered so that the goals that
+//! arrive most bound are called first. The translated path query
+//! `path(P), object(c0n0), src(P, c0n0), …` thus calls `src` with its
+//! second argument bound before it calls `path`, and no predicate of the
+//! path rules is asked with every argument free.
 //!
 //! Purely extensional predicates (defined by facts only) are left
-//! unadorned. Built-in atoms pass bindings: `is(L, E)` binds `L`'s
-//! variables once `E`'s are bound; `=` binds either side from the other.
+//! unadorned. Built-in atoms pass bindings once they are ready: `is(L, E)`
+//! binds `L`'s variables once `E`'s are bound; `=` binds either side from
+//! the other.
 
 use crate::bottom_up::{evaluate, EvalError, Evaluation, FixpointOptions};
 use crate::program::CompiledProgram;
+use crate::sips::{add_vars, bound_first, term_bound};
 use clogic_core::fol::{FoAtom, FoClause, FoProgram, FoTerm};
 use clogic_core::symbol::Symbol;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -59,18 +67,6 @@ fn intensional(p: &FoProgram) -> HashSet<(Symbol, usize)> {
         .collect()
 }
 
-fn term_bound(t: &FoTerm, bound: &HashSet<Symbol>) -> bool {
-    let mut vars = BTreeSet::new();
-    t.collect_vars(&mut vars);
-    vars.iter().all(|v| bound.contains(v))
-}
-
-fn add_vars(t: &FoTerm, into: &mut HashSet<Symbol>) {
-    let mut vars = BTreeSet::new();
-    t.collect_vars(&mut vars);
-    into.extend(vars);
-}
-
 /// Applies the transformation for a conjunctive query `goals` against
 /// program `p`. `builtins` names evaluable predicates.
 pub fn magic_transform(
@@ -78,6 +74,8 @@ pub fn magic_transform(
     goals: &[FoAtom],
     builtins: &BTreeSet<Symbol>,
 ) -> MagicProgram {
+    // By symbol id: the set's own lookup compares strings.
+    let is_builtin = |p: Symbol| builtins.iter().any(|&b| b == p);
     // Wrap the query: __query(V1,…,Vk) :- goals.
     let mut var_set = BTreeSet::new();
     for g in goals {
@@ -136,27 +134,12 @@ pub fn magic_transform(
             }
             let guard = FoAtom::new(magic_name(pred, &adornment), magic_args);
             let mut processed: Vec<FoAtom> = vec![guard.clone()];
-            for atom in &rule.body {
-                if builtins.contains(&atom.pred) {
-                    // Binding propagation through built-ins.
-                    match (atom.pred.as_str(), atom.args.len()) {
-                        ("is", 2) if term_bound(&atom.args[1], &bound) => {
-                            add_vars(&atom.args[0], &mut bound);
-                        }
-                        ("=", 2) => {
-                            if term_bound(&atom.args[0], &bound) {
-                                add_vars(&atom.args[1], &mut bound);
-                            } else if term_bound(&atom.args[1], &bound) {
-                                add_vars(&atom.args[0], &mut bound);
-                            }
-                        }
-                        _ => {}
-                    }
-                    processed.push(atom.clone());
-                    continue;
-                }
+            // The order lets a built-in in only once it is ready (or after
+            // every relational goal), so a goal's variables are bound once
+            // it has run.
+            for atom in bound_first(&rule.body, &bound, is_builtin) {
                 let key = (atom.pred, atom.arity());
-                if idb.contains(&key) {
+                if !is_builtin(atom.pred) && idb.contains(&key) {
                     let sub_adornment: Adornment =
                         atom.args.iter().map(|a| term_bound(a, &bound)).collect();
                     // Magic rule: m__q__a'(bound args) :- prefix.
@@ -179,7 +162,9 @@ pub fn magic_transform(
                 } else {
                     processed.push(atom.clone());
                 }
-                add_vars_atom(atom, &mut bound);
+                for t in &atom.args {
+                    add_vars(t, &mut bound);
+                }
             }
             // Guarded rule for the adorned head (negated atoms carried
             // verbatim; `solve_magic` rejects programs where they occur).
@@ -201,12 +186,6 @@ pub fn magic_transform(
         program: out,
         answer_pred: adorned_name(query_pred, &query_adornment),
         query_vars,
-    }
-}
-
-fn add_vars_atom(a: &FoAtom, into: &mut HashSet<Symbol>) {
-    for t in &a.args {
-        add_vars(t, into);
     }
 }
 

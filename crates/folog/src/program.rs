@@ -202,9 +202,10 @@ impl CompiledProgram {
         self.index_mode = mode;
     }
 
-    /// Whether `pred` is an evaluable built-in.
+    /// Whether `pred` is an evaluable built-in. Compares symbol ids: the
+    /// set's own lookup orders by the interned strings.
     pub fn is_builtin(&self, pred: Symbol) -> bool {
-        self.builtins.contains(&pred)
+        self.builtins.iter().any(|&b| b == pred)
     }
 
     /// Candidate clauses for a goal, using first-argument indexing when

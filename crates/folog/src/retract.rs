@@ -150,9 +150,17 @@ pub fn retract_facts<P: ClauseView>(
                     continue;
                 }
                 let arity = atom.args.len();
+                let mut pinned = delta
+                    .iter()
+                    .filter(|(p, t)| *p == atom.pred && t.len() == arity)
+                    .peekable();
+                // No delta tuple matches this position: skip it before
+                // planning.
+                if pinned.peek().is_none() {
+                    continue;
+                }
                 let order = plan_order(rule, Some(pos), program, &ev.facts);
-                for (_, tuple) in delta.iter().filter(|(p, t)| *p == atom.pred && t.len() == arity)
-                {
+                for (_, tuple) in pinned {
                     ev.stats.rule_activations += 1;
                     let mut env: Env = vec![None; rule.n_vars as usize];
                     let mut trail = Vec::new();

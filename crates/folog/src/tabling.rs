@@ -15,6 +15,7 @@ use crate::budget::{Budget, BudgetMeter, Degradation, TripKind};
 use crate::builtins::BuiltinError;
 use crate::program::{shift_atom, ClauseOverlay, ClauseView, CompiledProgram};
 use crate::rterm::{RAtom, RTerm, VarId};
+use crate::sips::bound_first;
 use crate::sld::fo_of_rterm;
 use crate::unify::{unify_atoms, Bindings};
 use clogic_core::fol::{FoAtom, FoTerm};
@@ -147,8 +148,8 @@ struct TableSpace {
     tables: HashMap<RAtom, Table>,
     /// Keys in creation order, so fixpoint passes are deterministic.
     order: Vec<RAtom>,
-    /// consumer table → producer tables whose answers it consumed.
-    deps: HashMap<RAtom, HashSet<RAtom>>,
+    /// producer table → consumer tables that read its answers.
+    consumers: HashMap<RAtom, HashSet<RAtom>>,
     /// Tables that gained answers during the current pass.
     gained: HashSet<RAtom>,
     stats: TablingStats,
@@ -244,15 +245,22 @@ impl<'p, P: ClauseView> TabledEngine<'p, P> {
         let query_pred = Symbol::new("__query");
         // The synthetic `__query` wrapper lives in a private overlay tail
         // (index one past the program's last clause, as before) — the
-        // shared program itself is never cloned or mutated.
+        // shared program itself is never cloned or mutated. Its body is
+        // the query ordered bound-first, so the first call carries the
+        // query's constants. Rule bodies keep source order: ordering them
+        // per call pattern made no fewer activations and cost more time.
         let mut program = ClauseOverlay::new(self.program);
         let head = FoAtom::new(query_pred, vars.iter().map(|&v| FoTerm::Var(v)).collect());
-        program.push_clause(&clogic_core::fol::FoClause::rule(head, goals.to_vec()));
+        let body = bound_first(goals, &HashSet::new(), |p| self.program.is_builtin(p));
+        program.push_clause(&clogic_core::fol::FoClause::rule(
+            head,
+            body.into_iter().cloned().collect(),
+        ));
 
         let mut space = TableSpace {
             tables: HashMap::new(),
             order: Vec::new(),
-            deps: HashMap::new(),
+            consumers: HashMap::new(),
             gained: HashSet::new(),
             stats: TablingStats::default(),
             opts: self.opts.clone(),
@@ -300,14 +308,10 @@ impl<'p, P: ClauseView> TabledEngine<'p, P> {
             }
             // Next pass: consumers of tables that gained answers.
             dirty = space
-                .order
+                .gained
                 .iter()
-                .filter(|t| {
-                    space
-                        .deps
-                        .get(*t)
-                        .is_some_and(|ds| ds.iter().any(|d| space.gained.contains(d)))
-                })
+                .filter_map(|g| space.consumers.get(g))
+                .flatten()
                 .cloned()
                 .collect();
             if dirty.is_empty() && space.gained.is_empty() {
@@ -454,10 +458,10 @@ impl<'p, P: ClauseView> TabledEngine<'p, P> {
         // Tabled subgoal: consult (and create) its table.
         let sub_key = canonicalize(goal, bind);
         space
-            .deps
-            .entry(key.clone())
+            .consumers
+            .entry(sub_key.clone())
             .or_default()
-            .insert(sub_key.clone());
+            .insert(key.clone());
         let mut changed = space.ensure(sub_key.clone());
         // Consume a snapshot of current answers.
         let answers: Vec<RAtom> = space.tables[&sub_key].answers.clone();

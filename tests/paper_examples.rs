@@ -4,6 +4,8 @@
 //!      identities; X3 — Example 2's translation; X4 — Example 3's
 //!      noun-phrase program, answered by *every* evaluation strategy.
 
+use clogic::core::fol::{FoAtom, FoProgram};
+use clogic::core::transform::Transformer;
 use clogic::session::{Session, SessionOptions, Strategy};
 use clogic::Strategy::*;
 
@@ -15,6 +17,9 @@ mod common;
 /// which is exactly the phenomenon tabling and magic sets repair (see
 /// `sld_diverges_where_tabling_terminates` below).
 const TERMINATING: [Strategy; 5] = [Direct, BottomUpNaive, BottomUpSemiNaive, Tabled, Magic];
+
+/// The strategies that evaluate the recursive path rules to a fixpoint.
+const FIXPOINT: [Strategy; 4] = [BottomUpNaive, BottomUpSemiNaive, Tabled, Magic];
 
 const NOUN_PHRASE: &str = r#"
     name: john.
@@ -33,15 +38,34 @@ const NOUN_PHRASE: &str = r#"
     commonnp < noun_phrase.
 "#;
 
-const PATH_EXPLICIT_SKOLEM: &str = r#"
-    node: a[linkto => b].
-    node: b[linkto => c].
-    node: c[linkto => d].
-    node: d[linkto => b].   % cycle b -> c -> d -> b
+/// The §2.1 path rules, with path identities by endpoints.
+const PATH_RULES: &str = r#"
     path: id(X, Y)[src => X, dest => Y] :- node: X[linkto => Y].
     path: id(X, Y)[src => X, dest => Y] :-
         node: X[linkto => Z],
         path: id(Z, Y)[src => Z, dest => Y].
+"#;
+
+/// The §2.1 path rules, with path identities by endpoints and length.
+const PATH_RULES_WITH_LENGTH: &str = r#"
+    path: id(X, Y, 1)[src => X, dest => Y, length => 1] :- node: X[linkto => Y].
+    path: id(X, Y, L)[src => X, dest => Y, length => L] :-
+        node: X[linkto => Z],
+        path: id(Z, Y, LO)[src => Z, dest => Y, length => LO],
+        L is LO + 1.
+"#;
+
+const CHAIN: &str = r#"
+    node: a[linkto => b].
+    node: b[linkto => c].
+    node: c[linkto => d].
+"#;
+
+const CYCLE: &str = r#"
+    node: a[linkto => b].
+    node: b[linkto => c].
+    node: c[linkto => d].
+    node: d[linkto => b].   % cycle b -> c -> d -> b
 "#;
 
 #[test]
@@ -111,10 +135,9 @@ fn x4_propernp_inherits_into_noun_phrase() {
 fn x1_path_objects_identified_by_endpoints() {
     // With identities id(X, Y), the cyclic graph has finitely many path
     // objects: one per connected (src, dest) pair.
-    let fixpoint_strategies = [BottomUpNaive, BottomUpSemiNaive, Tabled, Magic];
-    for strategy in fixpoint_strategies {
+    for strategy in FIXPOINT {
         let mut s = Session::new();
-        s.load(PATH_EXPLICIT_SKOLEM).unwrap();
+        s.load(&format!("{CYCLE}{PATH_RULES}")).unwrap();
         let r = s.query("path: P[src => a, dest => D]", strategy).unwrap();
         let ps: Vec<String> = r.rows.iter().map(|row| row.get("P").unwrap()).collect();
         // a reaches b, c, d
@@ -175,27 +198,15 @@ fn x1_identity_choice_changes_object_count() {
         node: b[linkto => c].
         node: a[linkto => c].   % shortcut
     "#;
-    let by_ends = r#"
-        path: id(X, Y)[src => X, dest => Y] :- node: X[linkto => Y].
-        path: id(X, Y)[src => X, dest => Y] :-
-            node: X[linkto => Z], path: id(Z, Y)[src => Z, dest => Y].
-    "#;
-    let by_ends_and_length = r#"
-        path: id(X, Y, 1)[src => X, dest => Y, length => 1] :- node: X[linkto => Y].
-        path: id(X, Y, L)[src => X, dest => Y, length => L] :-
-            node: X[linkto => Z],
-            path: id(Z, Y, LO)[src => Z, dest => Y, length => LO],
-            L is LO + 1.
-    "#;
     let mut s1 = Session::new();
-    s1.load(&format!("{base}{by_ends}")).unwrap();
+    s1.load(&format!("{base}{PATH_RULES}")).unwrap();
     let ends = s1
         .query("path: P[src => a, dest => c]", BottomUpSemiNaive)
         .unwrap();
     assert_eq!(ends.rows.len(), 1); // one object id(a,c)
 
     let mut s2 = Session::new();
-    s2.load(&format!("{base}{by_ends_and_length}")).unwrap();
+    s2.load(&format!("{base}{PATH_RULES_WITH_LENGTH}")).unwrap();
     let with_len = s2
         .query("path: P[src => a, dest => c]", BottomUpSemiNaive)
         .unwrap();
@@ -264,7 +275,7 @@ fn optimized_and_unoptimized_translations_agree() {
         ":- object: X.",
         ":- commonnp: X[def => D].",
     ] {
-        for strategy in [BottomUpNaive, BottomUpSemiNaive, Tabled, Magic] {
+        for strategy in FIXPOINT {
             let a = common::evaluate(&mut plain, query, strategy).unwrap();
             let b = common::evaluate(&mut optimized, query, strategy).unwrap();
             assert_eq!(a.rows, b.rows, "{query} under {strategy:?}");
@@ -334,4 +345,135 @@ path: p2[src => c, dest => d].";
     let r = s.query("path: X[src => S, dest => D]", Sld).unwrap();
     assert!(r.complete);
     assert_eq!(r.rows.len(), 2);
+}
+
+// ---------- §2.1 path rules under the goal-directed engines ----------
+
+/// The path query with its source bound, its destination bound, both,
+/// and neither.
+const PATH_QUERIES: [&str; 4] = [
+    "path: P[src => a, dest => D]",
+    "path: P[src => S, dest => d]",
+    "path: P[src => a, dest => d]",
+    "path: P[src => S, dest => D]",
+];
+
+/// `chains` disjoint chains of `len` edges each, nodes `c<k>n<i>`, with
+/// the path rules.
+fn disjoint_chains(chains: usize, len: usize) -> String {
+    let mut text = String::from(PATH_RULES);
+    for c in 0..chains {
+        for i in 0..len {
+            text.push_str(&format!("node: c{c}n{i}[linkto => c{c}n{}].\n", i + 1));
+        }
+    }
+    text
+}
+
+#[test]
+fn path_rules_agree_with_the_oracle() {
+    let graphs = [
+        ("a chain", CHAIN.to_string()),
+        (
+            "two chains",
+            format!("{CHAIN}node: m0[linkto => m1].\nnode: m1[linkto => m2]."),
+        ),
+        ("a cycle", CYCLE.to_string()),
+        (
+            "a DAG with a shortcut",
+            format!("{CHAIN}node: a[linkto => c]."),
+        ),
+    ];
+    for (graph, facts) in graphs {
+        let text = format!("{facts}{PATH_RULES}");
+        let mut semi = Session::new();
+        semi.load(&text).unwrap();
+        let mut s = Session::new();
+        s.load(&text).unwrap();
+        common::assert_answers(
+            common::Under(&mut semi, BottomUpSemiNaive),
+            &mut s,
+            &FIXPOINT,
+            &PATH_QUERIES,
+            graph,
+        );
+    }
+}
+
+#[test]
+fn path_lengths_on_a_chain() {
+    let mut s = Session::new();
+    s.load(&format!("{CHAIN}{PATH_RULES_WITH_LENGTH}")).unwrap();
+    let cases: [(&str, &[&str]); 4] = [
+        (
+            "path: P[src => a, dest => D, length => L]",
+            &[
+                "D = b, L = 1, P = id(a, b, 1)",
+                "D = c, L = 2, P = id(a, c, 2)",
+                "D = d, L = 3, P = id(a, d, 3)",
+            ],
+        ),
+        (
+            "path: P[src => S, dest => d, length => 2]",
+            &["P = id(b, d, 2), S = b"],
+        ),
+        (
+            "path: P[src => S, dest => D, length => 3]",
+            &["D = d, P = id(a, d, 3), S = a"],
+        ),
+        ("path: P[src => b, dest => a, length => L]", &[]),
+    ];
+    for (query, want) in cases {
+        for strategy in FIXPOINT {
+            let a = common::evaluate(&mut s, query, strategy).unwrap();
+            assert!(a.complete, "{query} under {strategy:?}");
+            assert_eq!(a.rendered(), want, "{query} under {strategy:?}");
+        }
+    }
+}
+
+/// The translation of `chains` disjoint chains of six edges with the
+/// path rules, and of the single-source path query over them.
+fn single_source_query(chains: usize) -> (FoProgram, Vec<FoAtom>) {
+    let mut s = Session::new();
+    s.load(&disjoint_chains(chains, 6)).unwrap();
+    let q = clogic::parser::parse_query("path: P[src => c0n0, dest => D]").unwrap();
+    (s.translated().clone(), Transformer::new().query(&q))
+}
+
+#[test]
+fn magic_asks_the_path_rules_with_the_source_bound() {
+    use clogic::folog::builtins::builtin_symbols;
+    use clogic::folog::magic::magic_transform;
+    let (fo, goals) = single_source_query(3);
+    let builtins = builtin_symbols().collect();
+    let rewritten = magic_transform(&fo, &goals, &builtins).program;
+    let preds: Vec<String> = rewritten
+        .clauses
+        .iter()
+        .flat_map(|c| std::iter::once(&c.head).chain(&c.body))
+        .map(|a| a.pred.to_string())
+        .collect();
+    assert!(preds.iter().any(|p| p == "m__src__fb"), "{rewritten}");
+    for free in ["m__path__f", "m__object__f"] {
+        assert!(!preds.iter().any(|p| p == free), "{free} in\n{rewritten}");
+    }
+}
+
+#[test]
+fn tabled_work_on_one_chain_ignores_the_others() {
+    use clogic::folog::builtins::builtin_symbols;
+    use clogic::folog::tabling::{TabledEngine, TablingOptions};
+    use clogic::folog::CompiledProgram;
+    let activations = |chains: usize| {
+        let (fo, goals) = single_source_query(chains);
+        let cp = CompiledProgram::compile(&fo, builtin_symbols());
+        let r = TabledEngine::new(&cp, TablingOptions::default())
+            .solve(&goals)
+            .unwrap();
+        assert!(r.complete);
+        assert_eq!(r.answers.len(), 6, "{chains} chains");
+        r.stats.clause_activations
+    };
+    assert_eq!(activations(3), activations(20));
 }
