@@ -512,7 +512,7 @@ fn e8_substrate() {
         for i in 0..1000i64 {
             let x = store.intern_const(Const::Int(i));
             let y = store.intern_const(Const::Int(i % 10));
-            store.intern_app(sym("pair"), vec![x, y]);
+            store.intern_app(sym("pair"), &[x, y]);
         }
         assert_eq!(store.len(), 1000 + 10 + 1000 - 10);
     });

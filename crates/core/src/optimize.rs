@@ -263,7 +263,7 @@ impl Optimizer {
         state.stats.aux_clauses += aux.len() as u64;
         state.set_clauses_done(p.clauses.len());
         // Axioms last: top-down engines should reach facts first.
-        let mut axioms = transformer.new_type_axioms(p, state);
+        let mut axioms = transformer.new_type_axioms(p, &self.type_symbols, state);
         axioms.extend(aux);
         for a in axioms {
             if state.emit(&a) {

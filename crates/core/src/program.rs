@@ -6,7 +6,7 @@ use crate::formula::{Atomic, DefiniteClause, Query};
 use crate::hierarchy::{object_type, TypeHierarchy};
 use crate::symbol::Symbol;
 use crate::term::{IdTerm, Term};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A C-logic program.
@@ -57,10 +57,9 @@ impl Program {
             sig.types.insert(sup);
         }
         for c in &self.clauses {
-            sig.scan_atomic(&c.head);
-            for b in &c.body {
-                sig.scan_atomic(b);
-            }
+            visit_clause(c, &mut |part, s| {
+                sig.set(part).insert(s);
+            });
         }
         sig
     }
@@ -96,18 +95,78 @@ pub struct Signature {
     pub functions: BTreeSet<Symbol>,
 }
 
+/// Which set of a [`Signature`] a symbol occurrence belongs to (and
+/// which of [`SignatureCounts`]' maps counts it).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Part {
+    Type,
+    Label,
+    Predicate,
+    Function,
+}
+
+/// Calls `f` on every symbol occurrence of an atomic formula.
+fn visit_atomic(a: &Atomic, f: &mut impl FnMut(Part, Symbol)) {
+    match a {
+        Atomic::Pred { pred, args } => {
+            f(Part::Predicate, *pred);
+            for t in args {
+                visit_term(t, f);
+            }
+        }
+        Atomic::Term(t) => visit_term(t, f),
+    }
+}
+
+fn visit_term(t: &Term, f: &mut impl FnMut(Part, Symbol)) {
+    let id = t.id_term();
+    f(Part::Type, id.ty());
+    match id {
+        IdTerm::Var { .. } => {}
+        IdTerm::Const { c, .. } => {
+            if let crate::term::Const::Sym(s) = c {
+                f(Part::Function, *s);
+            }
+        }
+        IdTerm::App { functor, args, .. } => {
+            f(Part::Function, *functor);
+            for a in args {
+                visit_term(a, f);
+            }
+        }
+    }
+    for s in t.specs() {
+        f(Part::Label, s.label);
+        for v in s.value.terms() {
+            visit_term(v, f);
+        }
+    }
+}
+
+/// Calls `f` on every symbol occurrence [`Program::signature`] reads in
+/// a clause: its head and positive body.
+fn visit_clause(c: &DefiniteClause, f: &mut impl FnMut(Part, Symbol)) {
+    visit_atomic(&c.head, f);
+    for b in &c.body {
+        visit_atomic(b, f);
+    }
+}
+
 impl Signature {
+    fn set(&mut self, part: Part) -> &mut BTreeSet<Symbol> {
+        match part {
+            Part::Type => &mut self.types,
+            Part::Label => &mut self.labels,
+            Part::Predicate => &mut self.predicates,
+            Part::Function => &mut self.functions,
+        }
+    }
+
     /// Scans one atomic formula.
     pub fn scan_atomic(&mut self, a: &Atomic) {
-        match a {
-            Atomic::Pred { pred, args } => {
-                self.predicates.insert(*pred);
-                for t in args {
-                    self.scan_term(t);
-                }
-            }
-            Atomic::Term(t) => self.scan_term(t),
-        }
+        visit_atomic(a, &mut |part, s| {
+            self.set(part).insert(s);
+        });
     }
 
     /// Scans a query.
@@ -117,38 +176,87 @@ impl Signature {
         }
     }
 
-    fn scan_term(&mut self, t: &Term) {
-        self.scan_id(t.id_term());
-        for s in t.specs() {
-            self.labels.insert(s.label);
-            for v in s.value.terms() {
-                self.scan_term(v);
-            }
-        }
-    }
-
-    fn scan_id(&mut self, id: &IdTerm) {
-        self.types.insert(id.ty());
-        match id {
-            IdTerm::Var { .. } => {}
-            IdTerm::Const { c, .. } => {
-                if let crate::term::Const::Sym(s) = c {
-                    self.functions.insert(*s);
-                }
-            }
-            IdTerm::App { functor, args, .. } => {
-                self.functions.insert(*functor);
-                for a in args {
-                    self.scan_term(a);
-                }
-            }
-        }
-    }
-
     /// Type symbols other than `object` — exactly the symbols for which
     /// the transformation emits `object(X) :- t(X)` axioms (§4).
     pub fn proper_types(&self) -> impl Iterator<Item = Symbol> + '_ {
         self.types.iter().copied().filter(|&t| t != object_type())
+    }
+}
+
+/// How often each symbol of a program's [`Signature`] occurs, kept in
+/// step with the program clause by clause. A writer that loads and
+/// retracts clauses reads the signature from here instead of walking
+/// the whole program on every write; [`SignatureCounts::signature`]
+/// always equals [`Program::signature`] of the program it tracks.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SignatureCounts {
+    counts: [BTreeMap<Symbol, usize>; 4],
+}
+
+impl SignatureCounts {
+    /// The counts of a whole program.
+    pub fn of(p: &Program) -> SignatureCounts {
+        let mut out = SignatureCounts::default();
+        for &(sub, sup) in &p.subtype_decls {
+            out.add_subtype(sub, sup);
+        }
+        for c in &p.clauses {
+            out.add_clause(c);
+        }
+        out
+    }
+
+    /// Counts a subtype declaration `sub < sup`.
+    pub fn add_subtype(&mut self, sub: Symbol, sup: Symbol) {
+        for t in [sub, sup] {
+            *self.counts[Part::Type as usize].entry(t).or_default() += 1;
+        }
+    }
+
+    /// Counts a loaded clause.
+    pub fn add_clause(&mut self, c: &DefiniteClause) {
+        visit_clause(c, &mut |part, s| {
+            *self.counts[part as usize].entry(s).or_default() += 1;
+        });
+    }
+
+    /// Uncounts a retracted clause (one that [`SignatureCounts::add_clause`]
+    /// counted).
+    pub fn remove_clause(&mut self, c: &DefiniteClause) {
+        visit_clause(c, &mut |part, s| {
+            let map = &mut self.counts[part as usize];
+            if let Some(n) = map.get_mut(&s) {
+                *n -= 1;
+                if *n == 0 {
+                    map.remove(&s);
+                }
+            }
+        });
+    }
+
+    fn keys(&self, part: Part) -> BTreeSet<Symbol> {
+        self.counts[part as usize].keys().copied().collect()
+    }
+
+    /// The type symbols ([`Signature::types`]).
+    pub fn types(&self) -> BTreeSet<Symbol> {
+        self.keys(Part::Type)
+    }
+
+    /// The function symbols and symbolic constants
+    /// ([`Signature::functions`]).
+    pub fn functions(&self) -> BTreeSet<Symbol> {
+        self.keys(Part::Function)
+    }
+
+    /// The signature of the tracked program.
+    pub fn signature(&self) -> Signature {
+        Signature {
+            types: self.types(),
+            labels: self.keys(Part::Label),
+            predicates: self.keys(Part::Predicate),
+            functions: self.functions(),
+        }
     }
 }
 
@@ -193,6 +301,23 @@ mod tests {
         assert!(sig.functions.contains(&sym("the")));
         assert!(sig.functions.contains(&sym("singular")));
         assert!(sig.predicates.is_empty());
+    }
+
+    #[test]
+    fn signature_counts_follow_loads_and_retractions() {
+        let mut p = grammar_fragment();
+        let mut counts = SignatureCounts::of(&p);
+        assert_eq!(counts.signature(), p.signature());
+        let extra = DefiniteClause::fact(Atomic::term(Term::typed_constant("determiner", "a")));
+        counts.add_clause(&extra);
+        p.push(extra);
+        assert_eq!(counts.signature(), p.signature());
+        // Retract the first clause: symbols it alone used disappear.
+        let gone = p.clauses.remove(0);
+        counts.remove_clause(&gone);
+        assert_eq!(counts.signature(), p.signature());
+        assert!(!counts.functions().contains(&sym("the")));
+        assert!(counts.types().contains(&sym("determiner")));
     }
 
     #[test]

@@ -467,7 +467,7 @@ impl Transformer {
     pub fn program_with_state(&self, p: &Program) -> (FoProgram, TranslationState) {
         let mut state = TranslationState::default();
         let mut out = FoProgram::new();
-        self.extend_program(p, &mut out, &mut state);
+        self.extend_program(p, &p.signature().types, &mut out, &mut state);
         (out, state)
     }
 
@@ -477,8 +477,16 @@ impl Transformer {
     /// `state`. Starting from a default state and an empty program this
     /// *is* the full translation; called after earlier extensions it emits
     /// exactly the clause set a from-scratch translation of the cumulative
-    /// program would, modulo order (see [`TranslationState`]).
-    pub fn extend_program(&self, p: &Program, out: &mut FoProgram, state: &mut TranslationState) {
+    /// program would, modulo order (see [`TranslationState`]). `types` is
+    /// the program's type symbols, `p.signature().types` — a caller that
+    /// keeps the signature incrementally passes it without a walk.
+    pub fn extend_program(
+        &self,
+        p: &Program,
+        types: &BTreeSet<Symbol>,
+        out: &mut FoProgram,
+        state: &mut TranslationState,
+    ) {
         let mut aux = Vec::new();
         let from = state.clauses_done.min(p.clauses.len());
         let generalized: Vec<GeneralizedClause> = p.clauses[from..]
@@ -497,7 +505,7 @@ impl Transformer {
                 }
             }
         }
-        let mut axioms = self.new_type_axioms(p, state);
+        let mut axioms = self.new_type_axioms(p, types, state);
         axioms.extend(aux);
         for a in axioms {
             if state.emit(&a) {
@@ -509,12 +517,17 @@ impl Transformer {
     /// The type axioms `p` needs that `state` has not yet emitted:
     /// `object(X) :- t(X)` for proper types first seen in this delta, and
     /// `sup(X) :- sub(X)` for subtype declarations appended since the
-    /// last translation. Updates `state` accordingly.
-    pub fn new_type_axioms(&self, p: &Program, state: &mut TranslationState) -> Vec<FoClause> {
+    /// last translation. Updates `state` accordingly. `types` holds the
+    /// program's type symbols (`object` among them or not).
+    pub fn new_type_axioms(
+        &self,
+        p: &Program,
+        types: &BTreeSet<Symbol>,
+        state: &mut TranslationState,
+    ) -> Vec<FoClause> {
         let x = FoTerm::var("X");
         let mut out = Vec::new();
-        let sig = p.signature();
-        for t in sig.proper_types() {
+        for t in types.iter().copied().filter(|&t| t != object_type()) {
             if state.axiom_types.insert(t) {
                 out.push(FoClause::rule(
                     FoAtom::new(object_type(), vec![x.clone()]),

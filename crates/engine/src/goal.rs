@@ -390,6 +390,12 @@ impl DirectProgram {
                 });
             }
         }
+        // Keep a copy-on-write clone of this program O(delta) in its
+        // term arena and tuple store, as an evaluation does.
+        if self.terms.tail_len() + self.preds.tail_rows() > folog::FOLD_BOUND {
+            self.terms.fold();
+            self.preds.fold();
+        }
     }
 
     /// Inserts a ground goal into the extensional stores.
@@ -422,7 +428,7 @@ impl DirectProgram {
             RTerm::Const(c) => self.terms.intern_const(*c),
             RTerm::App(f, args) => {
                 let ids: Vec<folog::TermId> = args.iter().map(|a| self.intern(a)).collect();
-                self.terms.intern_app(*f, ids)
+                self.terms.intern_app(*f, &ids)
             }
         }
     }

@@ -331,9 +331,9 @@ impl<'p> DirectEngine<'p> {
 /// Reconstructs a runtime term from a ground interned term.
 pub fn rterm_of_ground(terms: &TermStore, id: TermId) -> RTerm {
     match terms.get(id) {
-        folog::GroundTerm::Const(c) => RTerm::Const(*c),
+        folog::GroundTerm::Const(c) => RTerm::Const(c),
         folog::GroundTerm::App(f, args) => RTerm::App(
-            *f,
+            f,
             args.iter().map(|&a| rterm_of_ground(terms, a)).collect(),
         ),
     }
@@ -345,13 +345,13 @@ pub fn rterm_of_ground(terms: &TermStore, id: TermId) -> RTerm {
 pub fn ground_lookup(terms: &TermStore, t: &RTerm) -> Option<TermId> {
     match t {
         RTerm::Var(_) => None,
-        RTerm::Const(c) => terms.lookup(&folog::GroundTerm::Const(*c)),
+        RTerm::Const(c) => terms.lookup(folog::GroundTerm::Const(*c)),
         RTerm::App(f, args) => {
             let mut ids = Vec::with_capacity(args.len());
             for a in args {
                 ids.push(ground_lookup(terms, a)?);
             }
-            terms.lookup(&folog::GroundTerm::App(*f, ids))
+            terms.lookup(folog::GroundTerm::App(*f, &ids))
         }
     }
 }
@@ -517,7 +517,7 @@ impl Search<'_> {
             if !unmatchable {
                 let rows = rel.candidate_rows(
                     &keys,
-                    0..rel.len() as u32,
+                    0..rel.row_end(),
                     &self.p.terms,
                     self.p.preds.index_mode(),
                 );
@@ -1408,7 +1408,7 @@ mod tests {
         assert_eq!(ground_lookup(&ts, &t), None);
         let a = ts.intern_const(clogic_core::Const::Sym(clogic_core::sym("a")));
         let one = ts.intern_const(clogic_core::Const::Int(1));
-        let id = ts.intern_app(clogic_core::sym("id"), vec![a, one]);
+        let id = ts.intern_app(clogic_core::sym("id"), &[a, one]);
         assert_eq!(ground_lookup(&ts, &t), Some(id));
         assert_eq!(rterm_of_ground(&ts, id), t);
         assert_eq!(ground_lookup(&ts, &RTerm::Var(0)), None);

@@ -414,7 +414,7 @@ mod tests {
         let (mut ts, mut os) = setup();
         let a = ts.intern_const(Const::Sym(sym("a")));
         let b = ts.intern_const(Const::Sym(sym("b")));
-        let id_ab = ts.intern_app(sym("id"), vec![a, b]);
+        let id_ab = ts.intern_app(sym("id"), &[a, b]);
         os.add_type(id_ab, sym("path"));
         os.add_label(id_ab, sym("src"), a);
         assert_eq!(os.display(&ts), vec!["path: id(a, b)[src => a]"]);

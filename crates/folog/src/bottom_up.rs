@@ -12,6 +12,7 @@ use crate::budget::{Budget, BudgetMeter, Degradation, TripKind};
 use crate::builtins::{solve_pattern, BuiltinError};
 use crate::facts::{
     bound_positions, instantiate, match_term, trail_undo, Env, FactStore, IndexMode, IndexStats,
+    FOLD_BOUND,
 };
 use crate::ground::{TermId, TermStore};
 #[cfg(test)]
@@ -252,23 +253,41 @@ impl Evaluation {
         let bound = bound_positions(&g.args, env, &self.store);
         let rows = rel.candidate_rows(
             &bound,
-            0..rel.len() as u32,
+            0..rel.row_end(),
             &self.store,
             self.facts.index_mode(),
         );
         for row in rows {
             let mark = trail.len();
-            let tuple = rel.tuple(row).to_vec();
             let ok = g
                 .args
                 .iter()
-                .zip(&tuple)
+                .zip(rel.tuple(row))
                 .all(|(p, &d)| match_term(p, d, &self.store, env, trail));
             if ok {
                 self.query_rec(goals, i + 1, env, trail, emit);
             }
             trail_undo(env, trail, mark);
         }
+    }
+
+    /// Tail rows, dead rows and tail terms: what a clone of this
+    /// evaluation copies (the bases are shared).
+    pub fn tail_len(&self) -> usize {
+        self.facts.tail_rows() + self.store.tail_len()
+    }
+
+    /// Folds the fact store and the term arena into their bases once
+    /// [`Evaluation::tail_len`] passes [`FOLD_BOUND`], so that clones
+    /// stay O(delta). Row ids change: call it only between runs.
+    /// Returns whether it folded.
+    pub fn fold_if_due(&mut self) -> bool {
+        let due = self.tail_len() > FOLD_BOUND;
+        if due {
+            self.facts.fold();
+            self.store.fold();
+        }
+        due
     }
 
     /// Convenience: whether a ground conjunctive query holds.
@@ -828,8 +847,6 @@ pub(crate) fn flush_metrics(
         .add(idx_after.hits.saturating_sub(idx_before.hits));
     m.counter("folog.index.misses")
         .add(idx_after.misses.saturating_sub(idx_before.misses));
-    m.counter("folog.index.invalidations")
-        .add(idx_after.invalidations.saturating_sub(idx_before.invalidations));
     m.counter("folog.fixpoint.iterations")
         .add((after.iterations - before.iterations) as u64);
     m.counter("folog.fixpoint.rule_activations")
@@ -879,8 +896,13 @@ pub(crate) fn insert_derived(
     inserted
 }
 
-/// Stamps completeness and the degradation report from the meter state.
+/// Stamps completeness and the degradation report from the meter state,
+/// then folds the stores' tails once they pass [`FOLD_BOUND`]: the run is
+/// over, so no semi-naive frontier holds row ids any more.
 pub(crate) fn finish(ev: &mut Evaluation, meter: &BudgetMeter, opts: &FixpointOptions) {
+    if ev.fold_if_due() {
+        opts.obs.metrics.counter("folog.store.folds").inc();
+    }
     if let Some(trip) = meter.tripped() {
         ev.complete = false;
         ev.degradation = Some(meter.degradation_for(
@@ -1044,7 +1066,7 @@ pub(crate) fn run_stratum<P: ClauseView>(
         // Snapshot current lengths.
         let mut lens: HashMap<(Symbol, usize), u32> = HashMap::new();
         for &(p, a) in derivable {
-            let len = ev.facts.relation(p, a).map_or(0, |r| r.len() as u32);
+            let len = ev.facts.relation(p, a).map_or(0, |r| r.row_end());
             lens.insert((p, a), len);
         }
         let current_frontiers: HashMap<(Symbol, usize), Frontier> = lens
@@ -1334,7 +1356,7 @@ pub(crate) fn eval_body<P: ClauseView>(
     };
     let f = frontiers.get(&key).copied().unwrap_or(Frontier {
         old: 0,
-        cur: rel.len() as u32,
+        cur: rel.row_end(),
     });
     // The range class is tied to the atom's *original* position relative
     // to the delta atom, not its place in the join order.
@@ -1355,11 +1377,10 @@ pub(crate) fn eval_body<P: ClauseView>(
         }
         let mark = trail.len();
         stats.match_attempts += 1;
-        let tuple = rel.tuple(row).to_vec();
         let ok = atom
             .args
             .iter()
-            .zip(&tuple)
+            .zip(rel.tuple(row))
             .all(|(p, &d)| match_term(p, d, store, env, trail));
         if ok {
             eval_body(

@@ -10,42 +10,54 @@
 //! *lazily*, keyed on the bound-position projection a body literal
 //! actually asks for:
 //!
-//! - an **exact** index per bitmask of bound positions, mapping the
-//!   projected value vector to its (sorted) row list;
-//! - a **sub** index per `(position, functor)` pair, mapping a
-//!   compound's first argument to rows — the shape of skolem identities
-//!   like `id(Z, Y)` with `Z` bound, ubiquitous in translated C-logic.
+//! - an **exact** index per bitmask of bound positions, grouping rows
+//!   by their projection onto those positions;
+//! - a **sub** index per `(position, functor)` pair, grouping rows by a
+//!   compound's first argument — the shape of skolem identities like
+//!   `id(Z, Y)` with `Z` bound, ubiquitous in translated C-logic.
 //!
-//! Laziness means an evaluation pays only for the access patterns its
-//! rules exercise, and the cost is paid once: each pattern index
-//! carries a `covered` row watermark, and as long as a relation only
-//! ever *appends* the index is *extended* in place — never rebuilt —
-//! when later delta iterations (or a new epoch's facts) append rows.
-//! The same property makes a published snapshot's indices shareable:
-//! indices live behind [`RwLock`]s inside the relation, so concurrent
-//! readers of an `Arc`-shared store reuse whatever the first probe
-//! built, and cloning a store (the copy-on-write path) carries the
-//! built indices along.
+//! Every table is a flat hash-to-row-chain table (the `chain` module): a
+//! row costs one link per table, never a heap allocation of its own.
 //!
-//! Retraction breaks the append-only premise, so the watermark
-//! contract is **versioned** rather than unconditional: every
-//! non-append mutation ([`Relation::remove_rows`], reached through
-//! [`FactStore::remove`] / [`FactStore::remove_all`]) bumps the
-//! relation's `version`, and a probe whose index was built under an
-//! older version discards and rebuilds it (counted in
-//! [`IndexStats::invalidations`]) instead of trusting row ids that may
-//! have been compacted away. A debug assertion on every probe return
-//! path catches a stale index serving rows past the current length.
+//! **Base and tail.** A relation is a frozen *base* segment behind an
+//! [`Arc`] plus a small owned *tail* that receives inserts. Row ids run
+//! through the base and on into the tail. Cloning a relation — the
+//! snapshot copy-on-write path — copies the tail and shares the base,
+//! so a write that clones the saturated model pays for its delta, not
+//! for the model. Indices are built lazily per segment and cover its
+//! rows up to a watermark: an index built on a base is built once and
+//! serves the writer and every snapshot that shares the base, and a
+//! tail index is extended in place as rows are appended, never rebuilt.
+//!
+//! **Dead rows.** Retraction ([`Relation::remove_rows`], reached through
+//! [`FactStore::remove_all`]) marks rows dead in a small owned list
+//! instead of moving anything: row ids never move, so no index goes
+//! stale, and every probe skips dead rows. Inserting a tuple whose only
+//! copies are dead appends it as a new row.
+//!
+//! **Folds.** [`FactStore::fold`] moves the tails into the bases and
+//! drops dead rows; the owner calls it once tails and dead rows pass
+//! [`FOLD_BOUND`], at the end of an evaluation, when no semi-naive
+//! frontier holds row ids. A fold appends in place when no clone shares
+//! the base and copies the base otherwise; dropping dead base rows
+//! renumbers the rows, and that fold renumbers the base's indices too,
+//! so no probe rebuilds them.
 
+use crate::chain::{Chains, FxHasher, RowGroups, NIL};
 use crate::ground::{GroundTerm, TermId, TermStore};
 use crate::rterm::{RTerm, VarId};
 use clogic_core::symbol::Symbol;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
+
+/// How many tail rows, dead rows and tail terms an evaluation carries
+/// before it folds them into its bases. A clone of a store copies at
+/// most this much; a fold copies a shared base once per this many rows
+/// of churn.
+pub const FOLD_BOUND: usize = 1024;
 
 /// An index key derived from a partially bound pattern position.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -73,18 +85,15 @@ pub enum IndexMode {
 /// A point-in-time reading of the index counters, for metrics deltas.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// Pattern indices constructed for the first time.
+    /// Segment pattern indices constructed for the first time.
     pub builds: u64,
-    /// Existing pattern indices caught up with rows appended since
-    /// their last probe (the delta-iteration reuse path).
+    /// Existing segment pattern indices caught up with rows appended
+    /// since their last probe (the delta-iteration reuse path).
     pub extends: u64,
     /// Probes answered from an index.
     pub hits: u64,
     /// Probes with no derivable key that fell back to a range scan.
     pub misses: u64,
-    /// Pattern indices discarded and rebuilt because their relation was
-    /// mutated non-append-only (a retraction) since they were built.
-    pub invalidations: u64,
 }
 
 /// Shared index counters: atomics so concurrent snapshot readers can
@@ -95,7 +104,6 @@ struct IndexCounters {
     extends: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 impl IndexCounters {
@@ -105,8 +113,11 @@ impl IndexCounters {
             extends: self.extends.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
         }
+    }
+
+    fn bump(counter: &AtomicU64) {
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -118,217 +129,381 @@ impl Clone for IndexCounters {
             extends: AtomicU64::new(s.extends),
             hits: AtomicU64::new(s.hits),
             misses: AtomicU64::new(s.misses),
-            invalidations: AtomicU64::new(s.invalidations),
         }
     }
 }
 
-/// One lazily built exact index: rows grouped by their projection onto
-/// a fixed set of bound positions. `covered` is the exclusive row
-/// watermark the map reflects; rows at or past it are folded in on the
-/// next probe. `version` is the relation version the map was built
-/// under — a mismatch at probe time means rows were removed (ids
-/// compacted) and the whole map is rebuilt.
-#[derive(Clone, Debug, Default)]
-struct PatternIndex {
-    covered: u32,
-    version: u64,
-    map: HashMap<Vec<TermId>, Vec<u32>>,
-}
-
-/// One lazily built sub-term index for a `(position, functor)` pair:
-/// rows whose value at the position is `functor(first, …)`, grouped by
-/// `first`. Carries the same `covered`/`version` contract as
-/// [`PatternIndex`].
-#[derive(Clone, Debug, Default)]
-struct SubPatternIndex {
-    covered: u32,
-    version: u64,
-    map: HashMap<TermId, Vec<u32>>,
-}
-
-fn hash_tuple(tuple: &[TermId]) -> u64 {
-    let mut h = DefaultHasher::new();
-    tuple.hash(&mut h);
+/// The hash every table here files a tuple or projection under.
+#[inline]
+fn hash_ids(ids: impl Iterator<Item = TermId>) -> u64 {
+    let mut h = FxHasher::default();
+    for id in ids {
+        id.hash(&mut h);
+    }
     h.finish()
 }
 
-/// Restricts a sorted row list to `range` (binary search on both ends).
-fn slice_rows(rows: &[u32], range: &Range<u32>) -> Vec<u32> {
-    let lo = rows.partition_point(|&r| r < range.start);
-    let hi = rows.partition_point(|&r| r < range.end);
-    rows[lo..hi].to_vec()
+/// The first argument of `id` when it is a compound with functor `f`.
+#[inline]
+fn sub_key(store: &TermStore, id: TermId, f: Symbol) -> Option<TermId> {
+    match store.get(id) {
+        GroundTerm::App(g, args) if g == f => args.first().copied(),
+        _ => None,
+    }
 }
 
-/// A relation: the tuple set of one predicate, stored columnar-style as
-/// one flat row-major arena of interned term handles.
+/// Lazily built pattern indices of one segment, keyed by what they
+/// index. Behind a lock so that readers sharing the segment build them
+/// through `&self`.
+type Indices<K> = RwLock<HashMap<K, RowGroups>>;
+
+/// A run of consecutive rows of one relation: rows `offset..offset +
+/// len` of the relation, where `offset` is 0 for the base and the
+/// base's length for the tail. Row ids inside a segment are local.
 #[derive(Debug, Default)]
-pub struct Relation {
-    /// Tuple width; fixed by the first insert (relations are keyed by
-    /// `(predicate, arity)` in the store, so it never varies).
+struct Segment {
     arity: usize,
-    /// Number of tuples. Kept explicitly so zero-arity relations (the
+    /// Number of rows. Kept explicitly so zero-arity relations (the
     /// magic-set seed `m__q__()` is one) still count rows.
     len: u32,
     /// Row-major tuple arena: row `r` is `flat[r·arity .. (r+1)·arity]`.
     flat: Vec<TermId>,
-    /// Dedup buckets: tuple hash → rows with that hash.
-    dedup: HashMap<u64, Vec<u32>>,
-    /// Lazy exact indices, keyed by the bitmask of projected positions.
-    exact: RwLock<HashMap<u64, PatternIndex>>,
-    /// Lazy sub-term indices, keyed by `(position, functor)`.
-    sub: RwLock<HashMap<(u32, Symbol), SubPatternIndex>>,
-    /// Probe accounting, surfaced as `folog.index.*` metrics.
-    counters: IndexCounters,
-    /// Epoch (set by the owning [`FactStore`]) at which this relation
-    /// last grew. Inserts extend the arena in place and leave index
-    /// watermarks behind — a delta load never rebuilds an index.
-    stamp: u64,
-    /// Mutation version: bumped by every non-append mutation
-    /// ([`Relation::remove_rows`]). Pattern indices record the version
-    /// they were built under; a mismatch at probe time forces a full
-    /// rebuild instead of trusting compacted-away row ids.
-    version: u64,
+    /// Dedup table over rows, filed by tuple hash.
+    dedup: Chains,
+    /// Exact indices, keyed by the bitmask of projected positions.
+    exact: Indices<u64>,
+    /// Sub-term indices, keyed by `(position, functor)`.
+    sub: Indices<(u32, Symbol)>,
 }
 
-impl Clone for Relation {
-    /// Cloning (the snapshot copy-on-write path) carries built indices
-    /// along, so a new writer — and every reader of the published
-    /// artifact — starts warm instead of rebuilding per reader.
-    fn clone(&self) -> Relation {
+impl Clone for Segment {
+    /// Cloning (the fold of a shared base) carries built indices along.
+    fn clone(&self) -> Segment {
         let exact = self.exact.read().unwrap_or_else(PoisonError::into_inner);
         let sub = self.sub.read().unwrap_or_else(PoisonError::into_inner);
-        Relation {
+        Segment {
             arity: self.arity,
             len: self.len,
             flat: self.flat.clone(),
             dedup: self.dedup.clone(),
             exact: RwLock::new(exact.clone()),
             sub: RwLock::new(sub.clone()),
-            counters: self.counters.clone(),
-            stamp: self.stamp,
-            version: self.version,
         }
     }
 }
 
-impl Relation {
-    /// Number of tuples.
-    pub fn len(&self) -> usize {
-        self.len as usize
+impl Segment {
+    fn new(arity: usize) -> Segment {
+        Segment {
+            arity,
+            ..Segment::default()
+        }
     }
 
-    /// The epoch at which this relation last grew (0 until touched
+    #[inline]
+    fn tuple(&self, local: u32) -> &[TermId] {
+        let start = local as usize * self.arity;
+        &self.flat[start..start + self.arity]
+    }
+
+    /// Appends a row filed under `hash`, its tuple's hash (the caller
+    /// has ruled out a live duplicate).
+    fn push(&mut self, tuple: &[TermId], hash: u64) {
+        self.dedup.push(hash);
+        self.flat.extend_from_slice(tuple);
+        self.len += 1;
+    }
+
+    /// The local rows holding `tuple`, newest first (dead copies
+    /// included: the relation filters them).
+    fn find<'a>(&'a self, tuple: &'a [TermId], hash: u64) -> impl Iterator<Item = u32> + 'a {
+        self.dedup
+            .candidates(hash)
+            .filter(move |&r| self.tuple(r) == tuple)
+    }
+
+    /// Probes one lazily built index: builds it on first use, files rows
+    /// appended since its last probe, then appends the rows of the group
+    /// `read` selects.
+    fn probe<K: Copy + Eq + Hash>(
+        &self,
+        indices: &Indices<K>,
+        key: K,
+        counters: &IndexCounters,
+        mut file: impl FnMut(&mut RowGroups),
+        read: impl FnOnce(&RowGroups),
+    ) {
+        {
+            let guard = indices.read().unwrap_or_else(PoisonError::into_inner);
+            if let Some(idx) = guard.get(&key) {
+                if idx.covered == self.len {
+                    read(idx);
+                    return;
+                }
+            }
+        }
+        let mut guard = indices.write().unwrap_or_else(PoisonError::into_inner);
+        let idx = guard.entry(key).or_insert_with(|| {
+            IndexCounters::bump(&counters.builds);
+            RowGroups::default()
+        });
+        if idx.covered < self.len {
+            if idx.covered > 0 {
+                IndexCounters::bump(&counters.extends);
+            }
+            while idx.covered < self.len {
+                file(idx);
+            }
+        }
+        read(idx);
+    }
+
+    /// Rows in `range` (local) whose projection onto `positions` (the
+    /// set bits of `mask`) equals `proj`, appended to `out` plus
+    /// `offset`.
+    #[allow(clippy::too_many_arguments)]
+    fn probe_exact(
+        &self,
+        mask: u64,
+        positions: &[usize],
+        proj: &[TermId],
+        range: Range<u32>,
+        offset: u32,
+        counters: &IndexCounters,
+        out: &mut Vec<u32>,
+    ) {
+        let project = |r: u32| {
+            let t = self.tuple(r);
+            positions.iter().map(move |&p| t[p])
+        };
+        let hash = hash_ids(proj.iter().copied());
+        self.probe(
+            &self.exact,
+            mask,
+            counters,
+            |idx| {
+                let row = idx.covered;
+                idx.file(Some(hash_ids(project(row))), |a, b| {
+                    project(a).eq(project(b))
+                })
+            },
+            |idx| {
+                idx.rows_into(
+                    hash,
+                    |first| project(first).eq(proj.iter().copied()),
+                    range.clone(),
+                    offset,
+                    out,
+                )
+            },
+        );
+    }
+
+    /// Rows in `range` (local) whose value at `pos` is `f(first, …)`,
+    /// appended to `out` plus `offset`.
+    fn probe_sub(
+        &self,
+        (pos, f, first): (usize, Symbol, TermId),
+        store: &TermStore,
+        range: Range<u32>,
+        offset: u32,
+        counters: &IndexCounters,
+        out: &mut Vec<u32>,
+    ) {
+        let key_of = |r: u32| sub_key(store, self.tuple(r)[pos], f);
+        let hash = hash_ids(std::iter::once(first));
+        self.probe(
+            &self.sub,
+            (pos as u32, f),
+            counters,
+            |idx| {
+                let key = key_of(idx.covered);
+                idx.file(key.map(|k| hash_ids(std::iter::once(k))), |a, b| {
+                    key_of(a) == key_of(b)
+                })
+            },
+            |idx| {
+                idx.rows_into(
+                    hash,
+                    |r| key_of(r) == Some(first),
+                    range.clone(),
+                    offset,
+                    out,
+                )
+            },
+        );
+    }
+}
+
+/// Restricts `range` to one segment's rows `offset..offset + len`, in
+/// local ids.
+fn local(range: &Range<u32>, offset: u32, len: u32) -> Range<u32> {
+    let start = range.start.saturating_sub(offset).min(len);
+    let end = range.end.saturating_sub(offset).min(len);
+    start..end
+}
+
+/// A relation: the tuple set of one predicate, stored columnar-style as
+/// a flat row-major arena of interned term handles — a shared base
+/// segment plus an owned tail (see the module docs).
+#[derive(Clone, Debug)]
+pub struct Relation {
+    base: Arc<Segment>,
+    tail: Segment,
+    /// Dead rows, ascending. Bounded by the fold, so small.
+    dead: Vec<u32>,
+    /// Live rows.
+    live: u32,
+    /// Probe accounting, surfaced as `folog.index.*` metrics.
+    counters: IndexCounters,
+    /// Epoch (set by the owning [`FactStore`]) at which this relation
+    /// last grew or lost rows.
+    stamp: u64,
+}
+
+impl Default for Relation {
+    fn default() -> Relation {
+        Relation::with_arity(0)
+    }
+}
+
+impl Relation {
+    fn with_arity(arity: usize) -> Relation {
+        Relation {
+            base: Arc::new(Segment::new(arity)),
+            tail: Segment::new(arity),
+            dead: Vec::new(),
+            live: 0,
+            counters: IndexCounters::default(),
+            stamp: 0,
+        }
+    }
+
+    /// Number of live tuples.
+    pub fn len(&self) -> usize {
+        self.live as usize
+    }
+
+    /// True iff no tuple is live.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// One past the highest row id: dead rows keep their ids, so row
+    /// ranges (semi-naive frontiers) run up to this, not to
+    /// [`Relation::len`].
+    pub fn row_end(&self) -> u32 {
+        self.base.len + self.tail.len
+    }
+
+    /// Tail rows plus dead rows: what a clone of this relation copies.
+    pub fn tail_rows(&self) -> usize {
+        self.tail.len as usize + self.dead.len()
+    }
+
+    /// The epoch at which this relation last changed (0 until touched
     /// inside an epoch-stamped store).
     pub fn stamp(&self) -> u64 {
         self.stamp
     }
 
-    /// The mutation version: 0 while the relation has only ever been
-    /// appended to, bumped by every [`Relation::remove_rows`].
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// True iff empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts a tuple; returns true when it was new. Insertion is
+    /// Inserts a tuple; returns true when it was new. A tuple whose
+    /// only copies are dead is appended as a new row. Insertion is
     /// index-free: pattern indices are built on first probe and caught
     /// up lazily, so bulk loads pay only the arena append and a hash
-    /// bucket check. The store parameter is kept for call-site
-    /// stability; dedup no longer consults it.
+    /// chain check. The store parameter is kept for call-site
+    /// stability; dedup does not consult it.
     pub fn insert(&mut self, tuple: Vec<TermId>, _store: &TermStore) -> bool {
-        if self.len == 0 {
-            self.arity = tuple.len();
+        if self.row_end() == 0 && tuple.len() != self.base.arity {
+            let counters = std::mem::take(&mut self.counters);
+            *self = Relation {
+                counters,
+                stamp: self.stamp,
+                ..Relation::with_arity(tuple.len())
+            };
         }
-        debug_assert_eq!(tuple.len(), self.arity, "arity fixed per relation");
-        let row = self.len;
-        let (arity, flat) = (self.arity, &self.flat);
-        let bucket = self.dedup.entry(hash_tuple(&tuple)).or_default();
-        if bucket.iter().any(|&r| {
-            let start = r as usize * arity;
-            flat[start..start + arity] == tuple[..]
-        }) {
+        debug_assert_eq!(tuple.len(), self.base.arity, "arity fixed per relation");
+        let hash = hash_ids(tuple.iter().copied());
+        if self.live_row(&tuple, hash).is_some() {
             return false;
         }
-        bucket.push(row);
-        self.flat.extend_from_slice(&tuple);
-        self.len += 1;
+        self.tail.push(&tuple, hash);
+        self.live += 1;
         true
     }
 
-    /// Membership test.
+    /// Membership test (live rows only).
     pub fn contains(&self, tuple: &[TermId]) -> bool {
         self.row_of(tuple).is_some()
     }
 
-    /// The row id of `tuple`, if stored.
+    /// The row id of `tuple`'s live copy, if any.
     pub fn row_of(&self, tuple: &[TermId]) -> Option<u32> {
-        if self.len > 0 && tuple.len() != self.arity {
+        if tuple.len() != self.base.arity {
             return None;
         }
-        self.dedup.get(&hash_tuple(tuple)).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|&&r| {
-                    let start = r as usize * self.arity;
-                    self.flat[start..start + self.arity] == *tuple
-                })
-                .copied()
-        })
+        self.live_row(tuple, hash_ids(tuple.iter().copied()))
     }
 
-    /// Removes the given rows (any order, duplicates and out-of-range
-    /// ids ignored), compacting the arena in insertion order and
-    /// rebuilding the dedup buckets (row ids shift). Bumps the mutation
-    /// version so every pattern index built before this call is
-    /// discarded on its next probe. Returns how many rows were removed.
+    fn live_row(&self, tuple: &[TermId], hash: u64) -> Option<u32> {
+        let b = self.base.len;
+        self.base
+            .find(tuple, hash)
+            .chain(self.tail.find(tuple, hash).map(|l| l + b))
+            .find(|&r| !self.is_dead(r))
+    }
+
+    #[inline]
+    fn is_dead(&self, row: u32) -> bool {
+        !self.dead.is_empty() && self.dead.binary_search(&row).is_ok()
+    }
+
+    /// Marks the given rows dead (any order; duplicates, dead rows and
+    /// out-of-range ids ignored). Nothing moves: row ids stay put and
+    /// every index stays valid, while probes, scans and membership
+    /// tests skip the rows from now on. Returns how many rows died.
     pub fn remove_rows(&mut self, rows: &[u32]) -> usize {
-        let mut doomed: Vec<u32> = rows.iter().copied().filter(|&r| r < self.len).collect();
+        let end = self.row_end();
+        let mut doomed: Vec<u32> = rows
+            .iter()
+            .copied()
+            .filter(|&r| r < end && !self.is_dead(r))
+            .collect();
         doomed.sort_unstable();
         doomed.dedup();
-        if doomed.is_empty() {
-            return 0;
+        if !doomed.is_empty() {
+            self.dead.extend_from_slice(&doomed);
+            self.dead.sort_unstable();
+            self.live -= doomed.len() as u32;
         }
-        let mut next = doomed.iter().copied().peekable();
-        let mut keep = 0u32;
-        for row in 0..self.len {
-            if next.peek() == Some(&row) {
-                next.next();
-                continue;
-            }
-            if keep != row {
-                let src = row as usize * self.arity;
-                let dst = keep as usize * self.arity;
-                for i in 0..self.arity {
-                    self.flat[dst + i] = self.flat[src + i];
-                }
-            }
-            keep += 1;
-        }
-        self.flat.truncate(keep as usize * self.arity);
-        self.len = keep;
-        self.dedup.clear();
-        for row in 0..self.len {
-            let h = hash_tuple(self.tuple(row));
-            self.dedup.entry(h).or_default().push(row);
-        }
-        self.version += 1;
         doomed.len()
     }
 
-    /// The tuple at `row`.
+    /// The tuple at `row` (live or dead).
+    #[inline]
     pub fn tuple(&self, row: u32) -> &[TermId] {
-        let start = row as usize * self.arity;
-        &self.flat[start..start + self.arity]
+        let b = self.base.len;
+        if row < b {
+            self.base.tuple(row)
+        } else {
+            self.tail.tuple(row - b)
+        }
     }
 
-    /// All tuples, in insertion order.
+    /// The live rows in `range`, ascending.
+    fn live_rows(&self, range: Range<u32>) -> impl Iterator<Item = u32> + '_ {
+        let mut d = self.dead.partition_point(|&r| r < range.start);
+        range.filter(move |&r| {
+            while d < self.dead.len() && self.dead[d] < r {
+                d += 1;
+            }
+            self.dead.get(d) != Some(&r)
+        })
+    }
+
+    /// All live tuples, in insertion order.
     pub fn tuples(&self) -> impl Iterator<Item = &[TermId]> {
-        (0..self.len).map(|r| self.tuple(r))
+        self.live_rows(0..self.row_end()).map(|r| self.tuple(r))
     }
 
     /// A point-in-time reading of this relation's index counters.
@@ -339,15 +514,21 @@ impl Relation {
     /// Rows whose `pos`-th component equals `v` (index-probing; builds
     /// the single-position index on first use).
     pub fn rows_with(&self, pos: u32, v: TermId, store: &TermStore) -> Vec<u32> {
-        self.candidate_rows(&[IndexKey::Exact(pos, v)], 0..self.len, store, IndexMode::Indexed)
+        self.candidate_rows(
+            &[IndexKey::Exact(pos, v)],
+            0..self.row_end(),
+            store,
+            IndexMode::Indexed,
+        )
     }
 
     /// Rows matching an index key (index-probing).
     pub fn rows_for(&self, key: IndexKey, store: &TermStore) -> Vec<u32> {
-        self.candidate_rows(&[key], 0..self.len, store, IndexMode::Indexed)
+        self.candidate_rows(&[key], 0..self.row_end(), store, IndexMode::Indexed)
     }
 
-    /// Candidate rows within `range` for a partially bound pattern.
+    /// Live candidate rows within `range` for a partially bound pattern,
+    /// ascending.
     ///
     /// All `Exact` keys are combined into one multi-position projection
     /// probe (maximal selectivity among the hash indices); with no
@@ -363,8 +544,9 @@ impl Relation {
         store: &TermStore,
         mode: IndexMode,
     ) -> Vec<u32> {
+        let range = range.start..range.end.min(self.row_end());
         if mode == IndexMode::Scan {
-            return range.collect();
+            return self.live_rows(range).collect();
         }
         // Positions past 63 don't fit the bitmask; such arities don't
         // occur in practice, and dropping the key is merely less
@@ -376,143 +558,108 @@ impl Relation {
                 _ => None,
             })
             .collect();
-        if !exact.is_empty() {
-            exact.sort_unstable_by_key(|&(pos, _)| pos);
-            let mask = exact.iter().fold(0u64, |m, &(pos, _)| m | (1 << pos));
-            let positions: Vec<u32> = exact.iter().map(|&(pos, _)| pos).collect();
-            let proj: Vec<TermId> = exact.iter().map(|&(_, v)| v).collect();
-            let rows = self.probe_exact(mask, &positions, &proj);
-            return slice_rows(&rows, &range);
-        }
-        if let Some(&IndexKey::Sub(pos, f, first)) = keys
-            .iter()
-            .find(|k| matches!(k, IndexKey::Sub(..)))
-        {
-            let rows = self.probe_sub(pos, f, first, store);
-            return slice_rows(&rows, &range);
-        }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        range.collect()
-    }
-
-    /// Probes (building or extending as needed) the exact index for
-    /// `mask`, returning the sorted rows whose projection onto
-    /// `positions` equals `proj`.
-    fn probe_exact(&self, mask: u64, positions: &[u32], proj: &[TermId]) -> Vec<u32> {
-        {
-            let guard = self.exact.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some(idx) = guard.get(&mask) {
-                if idx.covered == self.len && idx.version == self.version {
-                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    let rows = idx.map.get(proj).cloned().unwrap_or_default();
-                    self.assert_rows_live(&rows);
-                    return rows;
-                }
-            }
-        }
-        let mut guard = self.exact.write().unwrap_or_else(PoisonError::into_inner);
-        let idx = guard.entry(mask).or_insert_with(|| {
-            self.counters.builds.fetch_add(1, Ordering::Relaxed);
-            PatternIndex {
-                version: self.version,
-                ..PatternIndex::default()
-            }
+        let sub = keys.iter().find_map(|k| match *k {
+            IndexKey::Sub(pos, f, first) => Some((pos as usize, f, first)),
+            IndexKey::Exact(..) => None,
         });
-        if idx.version != self.version {
-            // Rows were removed since this index was built: its row ids
-            // are meaningless after compaction. Rebuild from scratch.
-            self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
-            idx.map.clear();
-            idx.covered = 0;
-            idx.version = self.version;
+        if exact.is_empty() && sub.is_none() {
+            IndexCounters::bump(&self.counters.misses);
+            return self.live_rows(range).collect();
         }
-        if idx.covered < self.len {
-            if idx.covered > 0 {
-                self.counters.extends.fetch_add(1, Ordering::Relaxed);
+        exact.sort_unstable_by_key(|&(pos, _)| pos);
+        let mask = exact.iter().fold(0u64, |m, &(pos, _)| m | (1 << pos));
+        let positions: Vec<usize> = exact.iter().map(|&(pos, _)| pos as usize).collect();
+        let proj: Vec<TermId> = exact.iter().map(|&(_, v)| v).collect();
+        let mut out = Vec::new();
+        for (seg, offset) in [(&*self.base, 0), (&self.tail, self.base.len)] {
+            let range = local(&range, offset, seg.len);
+            if range.is_empty() {
+                continue;
             }
-            for row in idx.covered..self.len {
-                let t = self.tuple(row);
-                let key: Vec<TermId> = positions.iter().map(|&p| t[p as usize]).collect();
-                idx.map.entry(key).or_default().push(row);
+            match sub {
+                Some(key) if exact.is_empty() => {
+                    seg.probe_sub(key, store, range, offset, &self.counters, &mut out)
+                }
+                _ => seg.probe_exact(
+                    mask,
+                    &positions,
+                    &proj,
+                    range,
+                    offset,
+                    &self.counters,
+                    &mut out,
+                ),
             }
-            idx.covered = self.len;
         }
-        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        let rows = idx.map.get(proj).cloned().unwrap_or_default();
-        self.assert_rows_live(&rows);
-        rows
+        IndexCounters::bump(&self.counters.hits);
+        if !self.dead.is_empty() {
+            // A binary search per candidate: a probe returns few rows,
+            // and walking the dead list up to them would cost O(dead).
+            out.retain(|&r| !self.is_dead(r));
+        }
+        out
     }
 
-    /// Probes (building or extending as needed) the sub-term index for
-    /// `(pos, f)`, returning the sorted rows whose value there is
-    /// `f(first, …)`.
-    fn probe_sub(&self, pos: u32, f: Symbol, first: TermId, store: &TermStore) -> Vec<u32> {
-        {
-            let guard = self.sub.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some(idx) = guard.get(&(pos, f)) {
-                if idx.covered == self.len && idx.version == self.version {
-                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                    let rows = idx.map.get(&first).cloned().unwrap_or_default();
-                    self.assert_rows_live(&rows);
-                    return rows;
+    /// Moves the tail into the base and drops dead rows. With no dead
+    /// base row the tail's live rows are appended to the base — in
+    /// place when no clone shares it, else onto a copy — and the base's
+    /// indices stay valid; otherwise the live rows are copied into a
+    /// fresh base, which takes the old base's indices renumbered.
+    pub fn fold(&mut self) {
+        let arity = self.base.arity;
+        let b = self.base.len;
+        let tail = std::mem::replace(&mut self.tail, Segment::new(arity));
+        let dead = std::mem::take(&mut self.dead);
+        if b == 0 && dead.is_empty() {
+            self.base = Arc::new(tail);
+            return;
+        }
+        let live = |r: u32| dead.binary_search(&r).is_err();
+        if dead.first().is_none_or(|&r| r >= b) {
+            let base = Arc::make_mut(&mut self.base);
+            for l in (0..tail.len).filter(|&l| live(b + l)) {
+                base.push(tail.tuple(l), tail.dedup.hash(l));
+            }
+        } else {
+            let mut seg = Segment::new(arity);
+            // Old base row → its row in the new base, or NIL if dead.
+            let mut renumber = Vec::with_capacity(b as usize);
+            for r in 0..b {
+                if live(r) {
+                    renumber.push(seg.len);
+                    seg.push(self.base.tuple(r), self.base.dedup.hash(r));
+                } else {
+                    renumber.push(NIL);
                 }
             }
-        }
-        let mut guard = self.sub.write().unwrap_or_else(PoisonError::into_inner);
-        let idx = guard.entry((pos, f)).or_insert_with(|| {
-            self.counters.builds.fetch_add(1, Ordering::Relaxed);
-            SubPatternIndex {
-                version: self.version,
-                ..SubPatternIndex::default()
+            for l in (0..tail.len).filter(|&l| live(b + l)) {
+                seg.push(tail.tuple(l), tail.dedup.hash(l));
             }
-        });
-        if idx.version != self.version {
-            self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
-            idx.map.clear();
-            idx.covered = 0;
-            idx.version = self.version;
+            // The old base's indices carry over renumbered, so no probe
+            // rebuilds them; rows past their watermark are filed lazily.
+            let old = &self.base;
+            seg.exact = RwLock::new(renumbered(&old.exact, &renumber));
+            seg.sub = RwLock::new(renumbered(&old.sub, &renumber));
+            self.base = Arc::new(seg);
         }
-        if idx.covered < self.len {
-            if idx.covered > 0 {
-                self.counters.extends.fetch_add(1, Ordering::Relaxed);
-            }
-            for row in idx.covered..self.len {
-                let v = self.tuple(row)[pos as usize];
-                if let GroundTerm::App(g, args) = store.get(v) {
-                    if *g == f {
-                        if let Some(&head) = args.first() {
-                            idx.map.entry(head).or_default().push(row);
-                        }
-                    }
-                }
-            }
-            idx.covered = self.len;
-        }
-        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        let rows = idx.map.get(&first).cloned().unwrap_or_default();
-        self.assert_rows_live(&rows);
-        rows
     }
+}
 
-    /// Debug guard on every index return path: a row id at or past
-    /// `len` means a stale index (built before a removal) was served —
-    /// exactly the bug the version check exists to prevent.
-    #[inline]
-    fn assert_rows_live(&self, rows: &[u32]) {
-        debug_assert!(
-            rows.iter().all(|&r| r < self.len),
-            "stale pattern index served rows {:?} past relation length {}",
-            rows.iter().filter(|&&r| r >= self.len).collect::<Vec<_>>(),
-            self.len,
-        );
-    }
+/// A segment's indices with every row renumbered through `renumber`
+/// (see [`RowGroups::renumbered`]).
+fn renumbered<K: Copy + Eq + Hash>(indices: &Indices<K>, renumber: &[u32]) -> HashMap<K, RowGroups> {
+    let guard = indices.read().unwrap_or_else(PoisonError::into_inner);
+    guard
+        .iter()
+        .map(|(&k, idx)| (k, idx.renumbered(renumber)))
+        .collect()
 }
 
 /// The fact store: one relation per `(predicate, arity)`.
 #[derive(Clone, Debug, Default)]
 pub struct FactStore {
     relations: HashMap<(Symbol, usize), Relation>,
-    /// Total number of stored tuples.
+    /// Total number of stored (live) tuples.
     pub total: usize,
     /// Current epoch; every insert stamps its relation with this value.
     epoch: u64,
@@ -531,10 +678,10 @@ impl FactStore {
         self.epoch
     }
 
-    /// Advances the store to `epoch`. Relations grown from now on carry
-    /// this stamp; existing tuples and index watermarks are untouched,
-    /// so a resumed fixpoint extends them in place instead of
-    /// rebuilding.
+    /// Advances the store to `epoch`. Relations changed from now on
+    /// carry this stamp; existing tuples and index watermarks are
+    /// untouched, so a resumed fixpoint extends them in place instead
+    /// of rebuilding.
     pub fn set_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
     }
@@ -558,26 +705,44 @@ impl FactStore {
             out.extends += s.extends;
             out.hits += s.hits;
             out.misses += s.misses;
-            out.invalidations += s.invalidations;
         }
         out
     }
 
-    /// A snapshot of every relation's current length, used to seed a
-    /// resumed semi-naive run: rows appended after the snapshot form the
-    /// delta frontier.
+    /// Every relation's [`Relation::row_end`], used to seed a resumed
+    /// semi-naive run: rows appended after the snapshot form the delta
+    /// frontier.
     pub fn lens(&self) -> HashMap<(Symbol, usize), u32> {
         self.relations
             .iter()
-            .map(|(&k, r)| (k, r.len() as u32))
+            .map(|(&k, r)| (k, r.row_end()))
             .collect()
+    }
+
+    /// Tail rows plus dead rows over every relation: what a clone of
+    /// this store copies.
+    pub fn tail_rows(&self) -> usize {
+        self.relations.values().map(Relation::tail_rows).sum()
+    }
+
+    /// Folds every relation's tail and dead rows into its base (see
+    /// [`Relation::fold`]). Row ids change, so no frontier may be live.
+    pub fn fold(&mut self) {
+        for rel in self.relations.values_mut() {
+            if rel.tail_rows() > 0 {
+                rel.fold();
+            }
+        }
     }
 
     /// Inserts a fact; returns true when new.
     pub fn insert(&mut self, pred: Symbol, tuple: Vec<TermId>, store: &TermStore) -> bool {
         let arity = tuple.len();
         let epoch = self.epoch;
-        let rel = self.relations.entry((pred, arity)).or_default();
+        let rel = self
+            .relations
+            .entry((pred, arity))
+            .or_insert_with(|| Relation::with_arity(arity));
         let fresh = rel.insert(tuple, store);
         if fresh {
             rel.stamp = epoch;
@@ -586,17 +751,16 @@ impl FactStore {
         fresh
     }
 
-    /// Removes one fact; returns true when it was present. A non-append
-    /// mutation: the relation's version is bumped so every pattern
-    /// index built before this call rebuilds on its next probe.
+    /// Removes one fact; returns true when it was present.
     pub fn remove(&mut self, pred: Symbol, tuple: &[TermId]) -> bool {
         self.remove_all(&[(pred, tuple.to_vec())]) == 1
     }
 
-    /// Batch removal (one arena compaction per touched relation).
-    /// Facts not present are ignored; returns how many were removed.
-    /// Relations emptied by the removal are dropped from the store so
-    /// `predicates()` keeps meaning "pairs with tuples".
+    /// Batch removal: marks each stored fact's row dead (see
+    /// [`Relation::remove_rows`]). Facts not present are ignored;
+    /// returns how many were removed. Relations left without a live row
+    /// are dropped from the store so `predicates()` keeps meaning
+    /// "pairs with tuples".
     pub fn remove_all(&mut self, facts: &[(Symbol, Vec<TermId>)]) -> usize {
         let mut doomed: HashMap<(Symbol, usize), Vec<u32>> = HashMap::new();
         for (pred, tuple) in facts {
@@ -608,7 +772,10 @@ impl FactStore {
         let epoch = self.epoch;
         let mut removed = 0;
         for (key, rows) in doomed {
-            let rel = self.relations.get_mut(&key).expect("relation looked up above");
+            let rel = self
+                .relations
+                .get_mut(&key)
+                .expect("relation looked up above");
             let k = rel.remove_rows(&rows);
             rel.stamp = epoch;
             removed += k;
@@ -681,15 +848,12 @@ pub fn match_term(
                 }
             }
         }
-        RTerm::Const(c) => matches!(store.get(data), GroundTerm::Const(d) if d == c),
+        RTerm::Const(c) => store.get(data) == GroundTerm::Const(*c),
         RTerm::App(f, args) => match store.get(data) {
-            GroundTerm::App(g, data_args) if g == f && data_args.len() == args.len() => {
-                // Clone the arg ids to release the borrow on `store`.
-                let data_args = data_args.clone();
-                args.iter()
-                    .zip(data_args)
-                    .all(|(p, d)| match_term(p, d, store, env, trail))
-            }
+            GroundTerm::App(g, data_args) if g == *f && data_args.len() == args.len() => args
+                .iter()
+                .zip(data_args)
+                .all(|(p, &d)| match_term(p, d, store, env, trail)),
             _ => false,
         },
     }
@@ -710,13 +874,22 @@ pub fn instantiate(pat: &RTerm, env: &Env, store: &mut TermStore) -> Option<Term
         RTerm::Var(v) => env.get(*v as usize).copied().flatten(),
         RTerm::Const(c) => Some(store.intern_const(*c)),
         RTerm::App(f, args) => {
-            let mut ids = Vec::with_capacity(args.len());
-            for a in args {
-                ids.push(instantiate(a, env, store)?);
-            }
-            Some(store.intern_app(*f, ids))
+            let ids = ground_args(args, |a| instantiate(a, env, store))?;
+            Some(store.intern_app(*f, &ids))
         }
     }
+}
+
+/// A compound's argument ids, `None` as soon as one is missing.
+fn ground_args(
+    args: &[RTerm],
+    mut ground: impl FnMut(&RTerm) -> Option<TermId>,
+) -> Option<Vec<TermId>> {
+    let mut ids = Vec::with_capacity(args.len());
+    for a in args {
+        ids.push(ground(a)?);
+    }
+    Some(ids)
 }
 
 /// The index keys derivable from a pattern atom under an env: exact keys
@@ -741,23 +914,12 @@ pub fn bound_positions(args: &[RTerm], env: &Env, store: &TermStore) -> Vec<Inde
 fn peek_ground(pat: &RTerm, env: &Env, store: &TermStore) -> Option<TermId> {
     match pat {
         RTerm::Var(v) => env.get(*v as usize).copied().flatten(),
-        RTerm::Const(c) => {
-            // Reuse the interning map without inserting.
-            let probe = GroundTerm::Const(*c);
-            store_lookup(store, &probe)
-        }
+        RTerm::Const(c) => store.lookup(GroundTerm::Const(*c)),
         RTerm::App(f, args) => {
-            let mut ids = Vec::with_capacity(args.len());
-            for a in args {
-                ids.push(peek_ground(a, env, store)?);
-            }
-            store_lookup(store, &GroundTerm::App(*f, ids))
+            let ids = ground_args(args, |a| peek_ground(a, env, store))?;
+            store.lookup(GroundTerm::App(*f, &ids))
         }
     }
-}
-
-fn store_lookup(store: &TermStore, probe: &GroundTerm) -> Option<TermId> {
-    store.lookup(probe)
 }
 
 #[cfg(test)]
@@ -798,7 +960,10 @@ mod tests {
         assert_eq!(r.len(), 1);
         assert!(r.contains(&[]));
         assert_eq!(r.tuples().count(), 1);
-        assert_eq!(r.candidate_rows(&[], 0..1, &st, IndexMode::Indexed), vec![0]);
+        assert_eq!(
+            r.candidate_rows(&[], 0..1, &st, IndexMode::Indexed),
+            vec![0]
+        );
     }
 
     #[test]
@@ -817,7 +982,10 @@ mod tests {
         );
         assert_eq!(both, vec![1]);
         // no bound positions: whole range
-        assert_eq!(r.candidate_rows(&[], 1..3, &st, IndexMode::Indexed), vec![1, 2]);
+        assert_eq!(
+            r.candidate_rows(&[], 1..3, &st, IndexMode::Indexed),
+            vec![1, 2]
+        );
         // range filters delta scans
         assert_eq!(
             r.candidate_rows(&[IndexKey::Exact(0, a)], 1..3, &st, IndexMode::Indexed),
@@ -857,27 +1025,138 @@ mod tests {
     }
 
     #[test]
-    fn remove_rows_compacts_and_invalidates_indices() {
+    fn remove_rows_marks_dead_and_keeps_row_ids() {
         let (st, a, b, c) = setup();
         let mut r = Relation::default();
         r.insert(vec![a, b], &st);
         r.insert(vec![b, c], &st);
         r.insert(vec![a, c], &st);
-        // Build an index, then remove the middle row.
+        // Build an index, then kill the middle row.
         assert_eq!(r.rows_with(0, a, &st), vec![0, 2]);
         assert_eq!(r.remove_rows(&[1]), 1);
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.version(), 1);
-        // Row ids shifted: (a, c) is now row 1, and the stale index is
-        // rebuilt rather than served.
+        assert_eq!((r.len(), r.row_end()), (2, 3));
+        // Nothing moved: (a, c) is still row 2, and the index built
+        // before the removal keeps serving without a rebuild.
         assert!(r.contains(&[a, c]));
         assert!(!r.contains(&[b, c]));
-        assert_eq!(r.row_of(&[a, c]), Some(1));
-        assert_eq!(r.rows_with(0, a, &st), vec![0, 1]);
-        assert_eq!(r.index_stats().invalidations, 1);
-        // Duplicates and out-of-range row ids are ignored.
-        assert_eq!(r.remove_rows(&[7, 7, 9]), 0);
-        assert_eq!(r.version(), 1);
+        assert_eq!(r.row_of(&[a, c]), Some(2));
+        assert_eq!(r.rows_with(0, a, &st), vec![0, 2]);
+        assert_eq!(r.index_stats().builds, 1);
+        // Duplicates, dead rows and out-of-range row ids are ignored.
+        assert_eq!(r.remove_rows(&[1, 7, 7, 9]), 0);
+        assert_eq!(r.len(), 2);
+    }
+
+    #[test]
+    fn dead_rows_never_come_back_from_probes() {
+        let mut st = TermStore::new();
+        let a = st.intern_const(Const::Sym(sym("a")));
+        let b = st.intern_const(Const::Sym(sym("b")));
+        let id_ab = st.intern_app(sym("id"), &[a, b]);
+        let id_ba = st.intern_app(sym("id"), &[b, a]);
+        let mut r = Relation::default();
+        for t in [[a, id_ab], [a, id_ba], [b, id_ab], [b, id_ba]] {
+            r.insert(t.to_vec(), &st);
+        }
+        r.fold(); // rows 0..4 in the base
+        r.insert(vec![a, a], &st); // row 4 in the tail
+        r.remove_rows(&[0, 3, 4]);
+        let exact = [IndexKey::Exact(0, a)];
+        let sub = [IndexKey::Sub(1, sym("id"), b)];
+        for mode in [IndexMode::Indexed, IndexMode::Scan] {
+            for keys in [&exact[..], &sub[..], &[]] {
+                let rows = r.candidate_rows(keys, 0..5, &st, mode);
+                assert!(
+                    rows.iter().all(|row| ![0, 3, 4].contains(row)),
+                    "{mode:?} {rows:?}"
+                );
+            }
+        }
+        assert_eq!(
+            r.candidate_rows(&exact, 0..5, &st, IndexMode::Indexed),
+            vec![1]
+        );
+        assert_eq!(
+            r.candidate_rows(&sub, 0..5, &st, IndexMode::Indexed),
+            vec![1]
+        );
+        assert_eq!(
+            r.candidate_rows(&[], 0..5, &st, IndexMode::Scan),
+            vec![1, 2]
+        );
+        let live: Vec<Vec<TermId>> = r.tuples().map(<[TermId]>::to_vec).collect();
+        assert_eq!(live, vec![vec![a, id_ba], vec![b, id_ab]]);
+    }
+
+    #[test]
+    fn reinserting_a_dead_tuple_appends_it() {
+        let (st, a, b, c) = setup();
+        let mut r = Relation::default();
+        r.insert(vec![a, b], &st);
+        r.insert(vec![b, c], &st);
+        r.remove_rows(&[0]);
+        assert!(!r.contains(&[a, b]));
+        // DRed's rederive path: the tuple comes back as a new row, past
+        // any frontier taken after the removal.
+        assert!(r.insert(vec![a, b], &st));
+        assert!(!r.insert(vec![a, b], &st));
+        assert_eq!(r.row_of(&[a, b]), Some(2));
+        assert_eq!((r.len(), r.row_end()), (2, 3));
+        assert_eq!(r.rows_with(0, a, &st), vec![2]);
+        // A fold drops the dead row and renumbers the rest in order.
+        r.fold();
+        assert_eq!((r.len(), r.row_end(), r.tail_rows()), (2, 2, 0));
+        assert_eq!(r.row_of(&[b, c]), Some(0));
+        assert_eq!(r.row_of(&[a, b]), Some(1));
+        assert_eq!(r.rows_with(0, a, &st), vec![1]);
+    }
+
+    /// The store contract under copy-on-write: a clone keeps its rows
+    /// and its answers while the original inserts, marks rows dead and
+    /// folds; the clone copies only the tail and the dead list.
+    #[test]
+    fn clone_keeps_its_rows_while_the_original_changes() {
+        let (st, a, b, c) = setup();
+        let mut fs = FactStore::new();
+        for t in [[a, b], [b, c], [c, a]] {
+            fs.insert(sym("edge"), t.to_vec(), &st);
+        }
+        fs.fold();
+        fs.insert(sym("edge"), vec![a, c], &st);
+        fs.remove(sym("edge"), &[b, c]);
+        assert_eq!(fs.tail_rows(), 2, "one tail row, one dead row");
+        let edge = |fs: &FactStore| -> Vec<u32> {
+            let r = fs.relation(sym("edge"), 2).unwrap();
+            r.candidate_rows(
+                &[IndexKey::Exact(0, a)],
+                0..r.row_end(),
+                &st,
+                fs.index_mode(),
+            )
+        };
+        assert_eq!(edge(&fs), vec![0, 3]);
+        let pinned = fs.clone();
+        let builds = |fs: &FactStore| fs.relation(sym("edge"), 2).unwrap().index_stats().builds;
+        let built = builds(&fs);
+
+        fs.remove(sym("edge"), &[a, b]);
+        fs.insert(sym("edge"), vec![b, b], &st);
+        fs.fold(); // drops dead base rows: a fresh, renumbered base
+        fs.insert(sym("edge"), vec![a, a], &st);
+        assert_eq!(fs.total, 4);
+        assert!(!fs.contains(sym("edge"), &[a, b]));
+        assert_eq!(edge(&fs), vec![1, 3]);
+        assert_eq!(builds(&fs), built + 1, "only the new tail's index is built");
+
+        assert_eq!(pinned.total, 3);
+        assert!(pinned.contains(sym("edge"), &[a, b]));
+        assert!(!pinned.contains(sym("edge"), &[b, c]));
+        assert!(!pinned.contains(sym("edge"), &[a, a]));
+        assert_eq!(edge(&pinned), vec![0, 3]);
+        assert_eq!(
+            pinned.display(&st),
+            vec!["edge(a, b)", "edge(a, c)", "edge(c, a)"]
+        );
     }
 
     #[test]
@@ -923,8 +1202,8 @@ mod tests {
         let mut st = TermStore::new();
         let a = st.intern_const(Const::Sym(sym("a")));
         let b = st.intern_const(Const::Sym(sym("b")));
-        let id_ab = st.intern_app(sym("id"), vec![a, b]);
-        let id_ba = st.intern_app(sym("id"), vec![b, a]);
+        let id_ab = st.intern_app(sym("id"), &[a, b]);
+        let id_ba = st.intern_app(sym("id"), &[b, a]);
         let mut r = Relation::default();
         r.insert(vec![id_ab], &st);
         r.insert(vec![id_ba], &st);
@@ -993,7 +1272,7 @@ mod tests {
         let mut st = TermStore::new();
         let a = st.intern_const(Const::Sym(sym("a")));
         let b = st.intern_const(Const::Sym(sym("b")));
-        let fab = st.intern_app(sym("f"), vec![a, b]);
+        let fab = st.intern_app(sym("f"), &[a, b]);
         let mut env: Env = Vec::new();
         let mut trail = Vec::new();
         let mark = trail.len();

@@ -6,24 +6,94 @@
 //! and the store is the single owner of all term structure. Derived facts
 //! — of which bottom-up evaluation produces many — are then just small
 //! vectors of ids.
+//!
+//! The arena is flat: one node per term, compound arguments in one shared
+//! id array, and a hash-to-chain table for hash-consing, so a term costs no
+//! heap allocation of its own and is stored once. It is split like a
+//! [`Relation`](crate::facts::Relation): a frozen **base** segment behind
+//! an [`Arc`] and a small owned **tail** that receives new terms. Cloning
+//! a store (the snapshot copy-on-write path) copies the tail and shares
+//! the base; [`TermStore::fold`] moves the tail into the base once it
+//! passes [`FOLD_BOUND`](crate::facts::FOLD_BOUND). Ids never change: a
+//! fold appends the tail's terms to the base in id order.
 
+use crate::chain::{fx_hash, Chains};
 use clogic_core::fol::FoTerm;
 use clogic_core::symbol::Symbol;
 use clogic_core::term::Const;
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Handle to a hash-consed ground term inside a [`TermStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
-/// The stored shape of a ground term.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum GroundTerm {
+/// The shape of a ground term, borrowed from its store.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum GroundTerm<'a> {
     /// A constant.
     Const(Const),
     /// `f(t1,…,tn)` with interned argument handles.
-    App(Symbol, Vec<TermId>),
+    App(Symbol, &'a [TermId]),
+}
+
+/// One stored term: a constant, or a functor with its arguments'
+/// position in the segment's argument array.
+#[derive(Clone, Copy, Debug)]
+enum Node {
+    Const(Const),
+    App { f: Symbol, start: u32, len: u32 },
+}
+
+/// A run of consecutive terms: ids `offset..offset + nodes.len()` of the
+/// store, where `offset` is 0 for the base and the base's length for
+/// the tail.
+#[derive(Clone, Debug, Default)]
+struct TermSegment {
+    nodes: Vec<Node>,
+    args: Vec<TermId>,
+    /// Hash-consing table over local ids.
+    chains: Chains,
+}
+
+impl TermSegment {
+    fn len(&self) -> u32 {
+        self.nodes.len() as u32
+    }
+
+    #[inline]
+    fn view(&self, local: u32) -> GroundTerm<'_> {
+        match self.nodes[local as usize] {
+            Node::Const(c) => GroundTerm::Const(c),
+            Node::App { f, start, len } => {
+                GroundTerm::App(f, &self.args[start as usize..(start + len) as usize])
+            }
+        }
+    }
+
+    /// The local id of `t`, if this segment holds it.
+    #[inline]
+    fn find(&self, t: GroundTerm<'_>, hash: u64) -> Option<u32> {
+        self.chains.candidates(hash).find(|&l| self.view(l) == t)
+    }
+
+    /// Appends a term known to be absent; returns its local id.
+    fn push(&mut self, t: GroundTerm<'_>, hash: u64) -> u32 {
+        let node = match t {
+            GroundTerm::Const(c) => Node::Const(c),
+            GroundTerm::App(f, args) => {
+                let start = self.args.len() as u32;
+                self.args.extend_from_slice(args);
+                Node::App {
+                    f,
+                    start,
+                    len: args.len() as u32,
+                }
+            }
+        };
+        self.nodes.push(node);
+        self.chains.push(hash)
+    }
 }
 
 /// An arena of hash-consed ground terms.
@@ -32,8 +102,8 @@ pub enum GroundTerm {
 /// and stable for the store's lifetime.
 #[derive(Clone, Debug, Default)]
 pub struct TermStore {
-    terms: Vec<GroundTerm>,
-    map: HashMap<GroundTerm, TermId>,
+    base: Arc<TermSegment>,
+    tail: TermSegment,
 }
 
 impl TermStore {
@@ -44,23 +114,26 @@ impl TermStore {
 
     /// Number of distinct terms interned.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        (self.base.len() + self.tail.len()) as usize
     }
 
     /// True iff nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.len() == 0
+    }
+
+    /// Terms in the owned tail: what a clone of this store copies.
+    pub fn tail_len(&self) -> usize {
+        self.tail.len() as usize
     }
 
     /// Interns a ground term shape.
-    pub fn intern(&mut self, t: GroundTerm) -> TermId {
-        if let Some(&id) = self.map.get(&t) {
+    pub fn intern(&mut self, t: GroundTerm<'_>) -> TermId {
+        let hash = fx_hash(&t);
+        if let Some(id) = self.find(t, hash) {
             return id;
         }
-        let id = TermId(self.terms.len() as u32);
-        self.terms.push(t.clone());
-        self.map.insert(t, id);
-        id
+        TermId(self.base.len() + self.tail.push(t, hash))
     }
 
     /// Interns a constant.
@@ -69,7 +142,7 @@ impl TermStore {
     }
 
     /// Interns `f(args…)`.
-    pub fn intern_app(&mut self, f: Symbol, args: Vec<TermId>) -> TermId {
+    pub fn intern_app(&mut self, f: Symbol, args: &[TermId]) -> TermId {
         self.intern(GroundTerm::App(f, args))
     }
 
@@ -84,28 +157,59 @@ impl TermStore {
                 for a in args {
                     ids.push(self.intern_fo(a)?);
                 }
-                Some(self.intern_app(*f, ids))
+                Some(self.intern_app(*f, &ids))
             }
         }
     }
 
     /// Looks up the shape of an interned term.
-    pub fn get(&self, id: TermId) -> &GroundTerm {
-        &self.terms[id.0 as usize]
+    #[inline]
+    pub fn get(&self, id: TermId) -> GroundTerm<'_> {
+        let b = self.base.len();
+        if id.0 < b {
+            self.base.view(id.0)
+        } else {
+            self.tail.view(id.0 - b)
+        }
     }
 
     /// The id of a shape, if it has been interned (read-only probe).
-    pub fn lookup(&self, t: &GroundTerm) -> Option<TermId> {
-        self.map.get(t).copied()
+    pub fn lookup(&self, t: GroundTerm<'_>) -> Option<TermId> {
+        self.find(t, fx_hash(&t))
+    }
+
+    #[inline]
+    fn find(&self, t: GroundTerm<'_>, hash: u64) -> Option<TermId> {
+        if let Some(l) = self.base.find(t, hash) {
+            return Some(TermId(l));
+        }
+        self.tail.find(t, hash).map(|l| TermId(self.base.len() + l))
+    }
+
+    /// Moves the tail into the base: in place when no clone shares the
+    /// base, otherwise into a copy of it. Ids do not change.
+    pub fn fold(&mut self) {
+        if self.tail.nodes.is_empty() {
+            return;
+        }
+        let tail = std::mem::take(&mut self.tail);
+        if self.base.nodes.is_empty() {
+            self.base = Arc::new(tail);
+            return;
+        }
+        let base = Arc::make_mut(&mut self.base);
+        for local in 0..tail.len() {
+            base.push(tail.view(local), tail.chains.hash(local));
+        }
     }
 
     /// Reconstructs the [`FoTerm`] for an id (for display and for handing
     /// answers back to callers).
     pub fn to_fo(&self, id: TermId) -> FoTerm {
         match self.get(id) {
-            GroundTerm::Const(c) => FoTerm::Const(*c),
+            GroundTerm::Const(c) => FoTerm::Const(c),
             GroundTerm::App(f, args) => {
-                FoTerm::App(*f, args.iter().map(|&a| self.to_fo(a)).collect())
+                FoTerm::App(f, args.iter().map(|&a| self.to_fo(a)).collect())
             }
         }
     }
@@ -119,7 +223,7 @@ impl TermStore {
     /// constant — used by the arithmetic built-ins.
     pub fn as_int(&self, id: TermId) -> Option<i64> {
         match self.get(id) {
-            GroundTerm::Const(Const::Int(i)) => Some(*i),
+            GroundTerm::Const(Const::Int(i)) => Some(i),
             _ => None,
         }
     }
@@ -179,10 +283,10 @@ mod tests {
     fn compound_terms_share_substructure() {
         let mut st = TermStore::new();
         let a = st.intern_const(Const::Sym(sym("a")));
-        let f1 = st.intern_app(sym("f"), vec![a]);
-        let f2 = st.intern_app(sym("f"), vec![a]);
+        let f1 = st.intern_app(sym("f"), &[a]);
+        let f2 = st.intern_app(sym("f"), &[a]);
         assert_eq!(f1, f2);
-        let g = st.intern_app(sym("g"), vec![f1, f1]);
+        let g = st.intern_app(sym("g"), &[f1, f1]);
         assert_eq!(st.len(), 3);
         assert_eq!(st.display(g), "g(f(a), f(a))");
     }
@@ -225,5 +329,42 @@ mod tests {
         let st = TermStore::new();
         assert!(st.is_empty());
         assert_eq!(st.len(), 0);
+    }
+
+    /// The store contract: a clone keeps its terms and ids while the
+    /// original interns and folds; folds keep every id; lookups see base
+    /// and tail alike.
+    #[test]
+    fn clone_survives_interns_and_folds_of_the_original() {
+        let mut st = TermStore::new();
+        let a = st.intern_const(Const::Sym(sym("a")));
+        let fa = st.intern_app(sym("f"), &[a]);
+        st.fold(); // tail moves into the empty base
+        assert_eq!((st.len(), st.tail_len()), (2, 0));
+        let b = st.intern_const(Const::Sym(sym("b")));
+        let gab = st.intern_app(sym("g"), &[a, b]);
+        assert_eq!(st.tail_len(), 2);
+        let pinned = st.clone();
+
+        // The original interns more and folds while the base is shared:
+        // the fold copies the base and leaves the clone's alone.
+        let c = st.intern_const(Const::Sym(sym("c")));
+        st.fold();
+        assert_eq!((st.len(), st.tail_len()), (5, 0));
+        assert_eq!(st.intern_app(sym("g"), &[a, b]), gab, "ids survive a fold");
+        assert_eq!(st.lookup(GroundTerm::Const(Const::Sym(sym("c")))), Some(c));
+        assert_eq!(st.display(gab), "g(a, b)");
+
+        assert_eq!(pinned.len(), 4);
+        assert_eq!(pinned.lookup(GroundTerm::Const(Const::Sym(sym("c")))), None);
+        assert_eq!(pinned.lookup(GroundTerm::App(sym("f"), &[a])), Some(fa));
+        assert_eq!(pinned.display(gab), "g(a, b)");
+
+        // A fold with an unshared base appends in place.
+        drop(pinned);
+        let d = st.intern_const(Const::Sym(sym("d")));
+        st.fold();
+        assert_eq!(st.get(d), GroundTerm::Const(Const::Sym(sym("d"))));
+        assert_eq!(st.len(), 6);
     }
 }

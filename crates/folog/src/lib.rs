@@ -29,6 +29,7 @@
 pub mod bottom_up;
 pub mod budget;
 pub mod builtins;
+mod chain;
 pub mod facts;
 pub mod ground;
 pub mod magic;
@@ -42,7 +43,7 @@ pub mod unify;
 
 pub use bottom_up::{evaluate, evaluate_delta, Evaluation, FixpointOptions, FixpointStats, Strategy};
 pub use budget::{Budget, BudgetMeter, CancelToken, Degradation, TripKind};
-pub use facts::{FactStore, IndexKey, IndexMode, IndexStats};
+pub use facts::{FactStore, IndexKey, IndexMode, IndexStats, FOLD_BOUND};
 pub use ground::{GroundAtom, GroundTerm, TermId, TermStore};
 pub use program::{ClauseOverlay, ClauseView, CompiledProgram, Rule};
 pub use retract::{retract_facts, RetractStats};

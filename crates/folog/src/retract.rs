@@ -40,8 +40,8 @@ use crate::bottom_up::{
 };
 use crate::budget::BudgetMeter;
 use crate::facts::{match_term, trail_undo, Env};
-use crate::ground::TermId;
-use crate::program::{ClauseView, Rule};
+use crate::ground::{GroundTerm, TermId, TermStore};
+use crate::program::{ArgKey, ClauseView, Rule};
 use clogic_core::fol::FoAtom;
 use clogic_core::symbol::Symbol;
 use std::collections::{HashMap, HashSet};
@@ -114,8 +114,8 @@ pub fn retract_facts<P: ClauseView>(
     // actually stored, then propagate: a rule head joins the deleted
     // set whenever one body atom matches a newly-deleted tuple and the
     // rest of the body is satisfiable in the ORIGINAL store (tuples are
-    // physically removed only after the phase converges, so every join
-    // sees the pre-deletion relations).
+    // marked dead only after the phase converges, so every join sees the
+    // pre-deletion relations).
     let mut deleted: HashSet<Fact> = HashSet::new();
     let mut delta: Vec<Fact> = Vec::new();
     for atom in removed {
@@ -207,37 +207,27 @@ pub fn retract_facts<P: ClauseView>(
         }
     }
 
-    // Physically remove the overdeleted tuples. Every pattern index
-    // built so far is invalidated by the relations' version bump and
-    // rebuilt lazily on its next probe.
+    // Mark the overdeleted tuples dead. Row ids stay put, so every
+    // pattern index built so far keeps serving; probes skip the rows.
     let doomed: Vec<Fact> = deleted.iter().cloned().collect();
     let overdeleted = ev.facts.remove_all(&doomed) as u64;
 
     // Phase 2 — rederive. A deleted tuple survives if it is a base fact
     // of the (new) program, or one rule application over the
     // post-deletion store reproduces it. Survivors — plus any `added`
-    // base atoms — are inserted past the post-deletion length snapshot,
-    // so the seeded semi-naive run treats exactly them as the delta and
-    // restores their downstream consequences.
+    // base atoms — are appended past the post-deletion row snapshot
+    // (re-inserting a dead tuple appends it as a new row), so the seeded
+    // semi-naive run treats exactly them as the delta and restores their
+    // downstream consequences.
     let lens_after = ev.facts.lens();
-    let empty_env: Env = Vec::new();
-    let base_facts: HashSet<Fact> = (0..program.len())
-        .map(|i| program.rule(i))
-        .filter(|r| r.is_fact())
-        .filter_map(|r| {
-            let mut tuple = Vec::with_capacity(r.head.args.len());
-            for a in &r.head.args {
-                tuple.push(crate::facts::instantiate(a, &empty_env, &mut ev.store)?);
-            }
-            Some((r.head.pred, tuple))
-        })
-        .collect();
     let mut reborn: Vec<Fact> = Vec::new();
     for fact in &doomed {
         if meter.tripped().is_some() {
             break;
         }
-        if base_facts.contains(fact) || derivable_once(program, &rules, fact, &mut ev, &mut meter)? {
+        if is_fact_clause(program, fact, &ev.store)
+            || derivable_once(program, &rules, fact, &mut ev, &mut meter)?
+        {
             reborn.push(fact.clone());
         }
     }
@@ -298,6 +288,38 @@ pub fn retract_facts<P: ClauseView>(
             fell_back: false,
         },
     ))
+}
+
+/// Whether `fact` is a fact clause of `program`, looked up through the
+/// compiled clause index on its ground arguments. A fact clause whose
+/// head holds a variable never counts (it would bind the variable).
+fn is_fact_clause<P: ClauseView>(program: &P, fact: &Fact, store: &TermStore) -> bool {
+    let (pred, tuple) = fact;
+    let keys: Vec<(u32, ArgKey)> = tuple
+        .iter()
+        .enumerate()
+        .map(|(pos, &id)| {
+            let key = match store.get(id) {
+                GroundTerm::Const(c) => ArgKey::Const(c),
+                GroundTerm::App(f, args) => ArgKey::Functor(f, args.len()),
+            };
+            (pos as u32, key)
+        })
+        .collect();
+    program
+        .candidates_bound(*pred, tuple.len(), &keys)
+        .into_iter()
+        .map(|i| program.rule(i))
+        .any(|r| {
+            let (mut env, mut trail): (Env, Vec<_>) = (Vec::new(), Vec::new());
+            r.is_fact()
+                && r.head
+                    .args
+                    .iter()
+                    .zip(tuple)
+                    .all(|(p, &d)| match_term(p, d, store, &mut env, &mut trail))
+                && trail.is_empty()
+        })
 }
 
 /// Whether one rule application over the current (post-deletion) store

@@ -30,7 +30,7 @@
 
 use clogic_core::fol::{FoAtom, FoClause, FoProgram, FoTerm};
 use clogic_core::optimize::Optimizer;
-use clogic_core::program::Program;
+use clogic_core::program::{Program, SignatureCounts};
 use clogic_core::skolem::{auto_skolemize_from, SkolemReport, SkolemState};
 use clogic_core::symbol::Symbol;
 use clogic_core::transform::{TranslationState, TranslationStats, Transformer};
@@ -1280,6 +1280,9 @@ impl SnapshotCell {
 pub struct Session {
     options: SessionOptions,
     program: Program,
+    /// [`Program::signature`] of `program`, kept per symbol on every
+    /// load and retraction so that a write never walks the program.
+    signature: SignatureCounts,
     skolem_reports: Vec<SkolemReport>,
     /// Skolem numbering state threaded across loads so `skN` identities
     /// are stable under cumulative loading.
@@ -1513,8 +1516,18 @@ impl Session {
     pub fn skolem_state(&self) -> SkolemState {
         SkolemState {
             counter: self.skolem_counter,
-            taken: self.program.signature().functions,
+            taken: self.signature.functions(),
         }
+    }
+
+    /// Checks, in debug builds, that the incrementally kept signature
+    /// still equals a walk of the whole program.
+    fn debug_check_signature(&self) {
+        debug_assert_eq!(
+            self.signature.signature(),
+            self.program.signature(),
+            "incremental signature drifted from the program"
+        );
     }
 
     fn snapshot_record(&self) -> SnapshotRecord {
@@ -1536,6 +1549,7 @@ impl Session {
             return Err("snapshot contains queries".to_string());
         }
         self.program = parsed.program;
+        self.signature = SignatureCounts::of(&self.program);
         self.epoch = snap.epoch;
         self.skolem_counter = snap.skolem.counter;
         Ok(())
@@ -1659,7 +1673,7 @@ impl Session {
         self.retire_unshared_snapshot();
         let skolems_before = self.skolem_counter;
         if self.options.auto_skolemize {
-            let taken = self.program.signature().functions;
+            let taken = self.signature.functions();
             let (sk, reports) = auto_skolemize_from(&p, &mut self.skolem_counter, &taken);
             p = sk;
             let offset = self.program.clauses.len();
@@ -1668,8 +1682,15 @@ impl Session {
                 r
             }));
         }
+        for &(sub, sup) in &p.subtype_decls {
+            self.signature.add_subtype(sub, sup);
+        }
+        for c in &p.clauses {
+            self.signature.add_clause(c);
+        }
         self.program.subtype_decls.extend(p.subtype_decls);
         self.program.clauses.extend(p.clauses);
+        self.debug_check_signature();
         self.epoch += 1;
         let m = &self.options.obs.metrics;
         m.counter("session.loads").inc();
@@ -1762,8 +1783,10 @@ impl Session {
 
         doomed.sort_unstable();
         for &i in doomed.iter().rev() {
-            self.program.clauses.remove(i);
+            let c = self.program.clauses.remove(i);
+            self.signature.remove_clause(&c);
         }
+        self.debug_check_signature();
         self.epoch += 1;
         // The clustered store's indexes are append-only; rebuild lazily.
         self.direct = None;
@@ -1805,8 +1828,12 @@ impl Session {
                 // COW: reclaim the saturated store when this session
                 // holds the only reference; clone only while a pinned
                 // snapshot still holds the pre-retraction model (which
-                // keeps serving its own epoch untorn).
-                let seed = Arc::try_unwrap(art.ev).unwrap_or_else(|a| (*a).clone());
+                // keeps serving its own epoch untorn). The clone copies
+                // the store's tails and shares its bases.
+                let seed = Arc::try_unwrap(art.ev).unwrap_or_else(|a| {
+                    self.count_rows_copied(&a);
+                    (*a).clone()
+                });
                 match folog::retract_facts(cp.as_ref(), seed, &removed, &added, opts) {
                     Ok((ev, _stats)) => {
                         self.model = Some(ModelArtifact {
@@ -1934,15 +1961,16 @@ impl Session {
                 // COW: clones the program only while a published
                 // snapshot still pins the previous value.
                 let fo = Arc::make_mut(&mut t.fo);
+                let types = self.signature.types();
                 if self.options.optimize_translation {
-                    Optimizer::new(&self.program).extend_optimized(
+                    Optimizer::from_parts(self.program.hierarchy(), types).extend_optimized(
                         &tr,
                         &self.program,
                         fo,
                         &mut t.state,
                     );
                 } else {
-                    tr.extend_program(&self.program, fo, &mut t.state);
+                    tr.extend_program(&self.program, &types, fo, &mut t.state);
                 }
                 t.epoch = self.epoch;
                 t.subtypes = self.program.subtype_decls.len();
@@ -1951,7 +1979,8 @@ impl Session {
             ArtifactProvenance::Rebuilt => {
                 let generation = self.translated.as_ref().map_or(0, |t| t.generation + 1);
                 let (fo, state) = if self.options.optimize_translation {
-                    Optimizer::new(&self.program).optimized_program_with_state(&tr, &self.program)
+                    Optimizer::from_parts(self.program.hierarchy(), self.signature.types())
+                        .optimized_program_with_state(&tr, &self.program)
                 } else {
                     tr.program_with_state(&self.program)
                 };
@@ -2143,8 +2172,12 @@ impl Session {
             Some(m) if m.generation == gen && m.rules <= rules && m.ev.complete => {
                 // COW resumption: reclaim the store when this session
                 // holds the only reference; clone only while a pinned
-                // snapshot still holds the old model.
-                let seed = Arc::try_unwrap(m.ev).unwrap_or_else(|a| (*a).clone());
+                // snapshot still holds the old model. The clone copies
+                // the store's tails and shares its bases.
+                let seed = Arc::try_unwrap(m.ev).unwrap_or_else(|a| {
+                    self.count_rows_copied(&a);
+                    (*a).clone()
+                });
                 (
                     folog::evaluate_delta(cp.as_ref(), seed, m.rules, opts)?,
                     ModelProvenance::Resumed,
@@ -2162,6 +2195,18 @@ impl Session {
             ev: Arc::new(ev),
         });
         Ok(provenance)
+    }
+
+    /// Counts, as `session.publish.rows_copied`, the tail rows, dead rows
+    /// and tail terms a copy-on-write clone of the saturated model
+    /// copies: its delta since the last fold, at most
+    /// [`folog::FOLD_BOUND`], however large the model.
+    fn count_rows_copied(&self, model: &Evaluation) {
+        self.options
+            .obs
+            .metrics
+            .counter("session.publish.rows_copied")
+            .add(model.tail_len() as u64);
     }
 
     /// Parses and answers a query with the given strategy.

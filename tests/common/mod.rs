@@ -411,6 +411,46 @@ fn molecule(ty: &str, id: &str, specs: &[String]) -> String {
     }
 }
 
+// ---------- the §2.1 path graph ----------
+
+/// The §2.1 path rules, with path identities by endpoints.
+pub const PATH_RULES: &str = r#"
+    path: id(X, Y)[src => X, dest => Y] :- node: X[linkto => Y].
+    path: id(X, Y)[src => X, dest => Y] :-
+        node: X[linkto => Z],
+        path: id(Z, Y)[src => Z, dest => Y].
+"#;
+
+/// `chains` disjoint chains of `len` edges each, nodes `c<k>n<i>`, with
+/// the path rules.
+pub fn disjoint_chains(chains: usize, len: usize) -> String {
+    let mut text = String::from(PATH_RULES);
+    for c in 0..chains {
+        for i in 0..len {
+            text.push_str(&format!("node: c{c}n{i}[linkto => c{c}n{}].\n", i + 1));
+        }
+    }
+    text
+}
+
+/// Options for the path graph: its recursive rule creates `id(X, Y)`
+/// objects, so the termination guard (with its fact ceiling) would cut
+/// the model short; every model here is finite.
+pub fn path_options(obs: &Obs) -> SessionOptions {
+    let mut opts = SessionOptions {
+        obs: obs.clone(),
+        termination_guard: false,
+        ..SessionOptions::default()
+    };
+    opts.fixpoint.max_facts = None;
+    opts
+}
+
+/// A one-edge write: the spur `c{chain}n{node} → s{k}` to a fresh node.
+pub fn spur(chain: usize, node: usize, k: usize) -> String {
+    format!("node: c{chain}n{node}[linkto => s{k}].")
+}
+
 // ---------- the §3.2 oracle ----------
 
 /// The least Herbrand structure of `fo`, a first-order translation of

@@ -8,6 +8,7 @@ use clogic::core::fol::{FoAtom, FoProgram};
 use clogic::core::transform::Transformer;
 use clogic::session::{Session, SessionOptions, Strategy};
 use clogic::Strategy::*;
+use common::{disjoint_chains, PATH_RULES};
 
 mod common;
 
@@ -36,14 +37,6 @@ const NOUN_PHRASE: &str = r#"
         noun: Noun[num => N].
     propernp < noun_phrase.
     commonnp < noun_phrase.
-"#;
-
-/// The §2.1 path rules, with path identities by endpoints.
-const PATH_RULES: &str = r#"
-    path: id(X, Y)[src => X, dest => Y] :- node: X[linkto => Y].
-    path: id(X, Y)[src => X, dest => Y] :-
-        node: X[linkto => Z],
-        path: id(Z, Y)[src => Z, dest => Y].
 "#;
 
 /// The §2.1 path rules, with path identities by endpoints and length.
@@ -357,18 +350,6 @@ const PATH_QUERIES: [&str; 4] = [
     "path: P[src => a, dest => d]",
     "path: P[src => S, dest => D]",
 ];
-
-/// `chains` disjoint chains of `len` edges each, nodes `c<k>n<i>`, with
-/// the path rules.
-fn disjoint_chains(chains: usize, len: usize) -> String {
-    let mut text = String::from(PATH_RULES);
-    for c in 0..chains {
-        for i in 0..len {
-            text.push_str(&format!("node: c{c}n{i}[linkto => c{c}n{}].\n", i + 1));
-        }
-    }
-    text
-}
 
 #[test]
 fn path_rules_agree_with_the_oracle() {

@@ -19,6 +19,7 @@
 //!   session moves on.
 
 use clogic::folog::Budget;
+use clogic::obs::Obs;
 use clogic::session::{Session, SessionError, SessionOptions, Strategy};
 use clogic::store::{ChaosStorage, Fault, MemStorage};
 use common::{corpus, opts, Features, QUERIES};
@@ -269,6 +270,63 @@ fn snapshot_pinned_from_an_exclusive_session_keeps_its_epoch() {
     for strategy in Strategy::ALL {
         let still = pinned.query("p(X)", strategy, &unlimited).unwrap();
         assert_eq!(still.rendered(), before.rendered(), "{strategy:?}");
+    }
+}
+
+/// Snapshots pinned across a write history long enough to fold the
+/// model's tails into its bases several times keep answering their own
+/// epoch, under all six strategies, exactly like a fresh replay of the
+/// history up to that epoch and like the §3.2 oracle. The session's
+/// cell is shared, as a serving layer shares it, so every write clones
+/// the model while a snapshot pins it, and folds copy shared bases.
+/// Each spur is asserted and then retracted, so the model stays small
+/// enough for the oracle while its tails and dead rows keep growing.
+#[test]
+fn pinned_snapshots_survive_folds_of_the_model() {
+    let obs = Obs::default();
+    let mut s = Session::with_options(common::path_options(&obs));
+    let _serving = s.snapshot_cell();
+    let mut ops = vec![Op::Load(common::disjoint_chains(2, 4))];
+    for k in 0..100 {
+        ops.push(Op::Load(common::spur(k % 2, 1 + k % 3, k)));
+        ops.push(Op::Retract(common::spur(k % 2, 1 + k % 3, k)));
+    }
+    ops.pop(); // end on a live spur
+    let mut pinned = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        apply(&mut s, op).unwrap();
+        s.prepare().unwrap();
+        if i % 60 == 1 || i + 1 == ops.len() {
+            pinned.push((i, s.current_snapshot().expect("prepare publishes")));
+        }
+    }
+    let folds = obs.metrics.snapshot().counter("folog.store.folds").unwrap_or(0);
+    assert!(folds >= 3, "the history folds the model's tails ({folds} folds)");
+
+    // Every strategy answers the edge queries; SLD and Direct do not
+    // terminate on the recursive path rules, so the path queries go to
+    // the four fixpoint strategies, as in `tests/paper_examples.rs`.
+    let edges = ["node: X[linkto => Y]", "node: c1n2[linkto => Y]"];
+    let paths = [
+        "path: P[src => c0n0, dest => D]",
+        "path: P[src => S, dest => s99]",
+        "path: id(c1n0, c1n4)",
+    ];
+    let fixpoint = [
+        Strategy::BottomUpNaive,
+        Strategy::BottomUpSemiNaive,
+        Strategy::Tabled,
+        Strategy::Magic,
+    ];
+    for (i, snap) in &pinned {
+        let mut replay = Session::with_options(common::path_options(&Obs::default()));
+        for op in &ops[..=*i] {
+            apply(&mut replay, op).unwrap();
+        }
+        assert_eq!(snap.epoch(), replay.epoch());
+        let context = format!("pinned after op {i}");
+        common::assert_answers(&**snap, &mut replay, &Strategy::ALL, &edges, &context);
+        common::assert_answers(&**snap, &mut replay, &fixpoint, &paths, &context);
     }
 }
 

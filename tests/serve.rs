@@ -22,7 +22,8 @@
 //! no reader may see a torn read.
 
 use clogic::folog::bottom_up::EvalError;
-use clogic::folog::Budget;
+use clogic::folog::{Budget, FOLD_BOUND};
+use clogic::obs::Obs;
 use clogic::session::{
     Answers, Session, SessionError, SessionOptions, Strategy, ANSWER_CACHE_CAPACITY,
 };
@@ -414,6 +415,53 @@ fn overload_sheds_structurally_and_answers_the_accepted() {
 
 fn fixpoint_evaluations(s: &Session) -> u64 {
     s.metrics().counter("folog.fixpoint.evaluations").unwrap_or(0)
+}
+
+/// A write to a served session copies its delta, not the saturated
+/// model: the rows and terms the model's copy-on-write copies
+/// (`session.publish.rows_copied`) stay within `FOLD_BOUND` for every
+/// one-edge assert and retract, at two database sizes 8× apart, while
+/// the larger model holds several times that many facts.
+#[test]
+fn served_writes_copy_their_delta_not_the_model() {
+    for chains in [4, 32] {
+        let obs = Obs::default();
+        let mut session = Session::with_options(common::path_options(&obs));
+        session.load(&common::disjoint_chains(chains, 8)).unwrap();
+        let server = Server::start(session, ServeOptions::default()).unwrap();
+        let copied = || {
+            obs.metrics
+                .snapshot()
+                .counter("session.publish.rows_copied")
+                .unwrap_or(0)
+        };
+        let write = |op: &dyn Fn(&Server) -> Result<(), ServeError>, what: &str| {
+            let before = copied();
+            op(&server).unwrap();
+            let delta = copied() - before;
+            assert!(
+                delta <= FOLD_BOUND as u64,
+                "{what} at {chains} chains copied {delta} rows and terms"
+            );
+        };
+        for k in 0..24 {
+            let spur = common::spur(k % chains, 3, k);
+            write(&|sv| sv.load(&spur).map(drop), &spur);
+            if k % 3 == 2 {
+                let old = common::spur((k - 2) % chains, 3, k - 2);
+                write(&|sv| sv.retract(&old).map(drop), &old);
+            }
+        }
+        assert!(copied() > 0, "writes cloned the pinned model");
+        let facts = server.with_session(|s| {
+            s.model_stats(Strategy::BottomUpSemiNaive)
+                .expect("published")
+                .facts_derived
+        });
+        if chains == 32 {
+            assert!(facts > 4 * FOLD_BOUND as u64, "{facts} facts");
+        }
+    }
 }
 
 /// `prepare` resumes only the semi-naive model; a snapshot saturates its
