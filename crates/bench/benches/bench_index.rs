@@ -25,14 +25,16 @@
 //! workspace root, including the `folog.index.*` counters (builds,
 //! extends, hits, misses) for the indexed runs. Answer counts and model
 //! sizes are cross-checked between indexed and scan runs, so a speedup
-//! can never come from dropped tuples. Setting `BENCH_INDEX_MIN_SPEEDUP`
-//! (e.g. in CI) fails the run if the chain-workload speedup drops below
-//! it.
+//! can never come from dropped tuples. Either mode fails if the
+//! chain-workload speedup drops below `MIN_CHAIN_SPEEDUP` (2×).
 
 use clogic_bench::graphs;
 use clogic_bench::measure::{dump_json, print_table, run_bottom_up_with, us, Run};
 use folog::{FixpointOptions, IndexMode, IndexStats, Strategy};
 use std::time::Duration;
+
+/// The floor on the chain workload's indexed speedup, in either mode.
+const MIN_CHAIN_SPEEDUP: f64 = 2.0;
 
 /// One workload measured under one index mode: best-of-`reps` wall
 /// clock, with the answer count, model size, and index counters of the
@@ -193,13 +195,9 @@ fn main() {
     .expect("dump BENCH_index.json");
     println!("wrote {out}");
 
-    // CI gate: the indices must actually pay off on the join-heavy chain.
-    // Only enforced when the environment asks (local runs stay informative).
-    if let Ok(min) = std::env::var("BENCH_INDEX_MIN_SPEEDUP") {
-        let min: f64 = min.parse().expect("BENCH_INDEX_MIN_SPEEDUP is a float");
-        assert!(
-            chain_speedup >= min,
-            "chain indexed speedup {chain_speedup:.3}x fell below the {min}x floor"
-        );
-    }
+    // The indices must actually pay off on the join-heavy chain.
+    assert!(
+        chain_speedup >= MIN_CHAIN_SPEEDUP,
+        "chain indexed speedup {chain_speedup:.3}x fell below the {MIN_CHAIN_SPEEDUP}x floor"
+    );
 }

@@ -108,7 +108,7 @@ pub fn run_bottom_up_with(
     let goals = Transformer::new().query(&parse_query(query).expect("query parses"));
     let start = Instant::now();
     let ev = evaluate(&compiled, opts).expect("fixpoint succeeds");
-    let answers = ev.query(&goals);
+    let answers = ev.query(&goals, &[], &[]).expect("query answers");
     (
         Run {
             wall: start.elapsed(),

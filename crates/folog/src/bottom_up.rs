@@ -9,7 +9,7 @@
 //! append-only and deltas are contiguous row ranges.
 
 use crate::budget::{Budget, BudgetMeter, Degradation, TripKind};
-use crate::builtins::{solve_pattern, BuiltinError};
+use crate::builtins::{ready, solve_pattern, BuiltinError};
 use crate::facts::{
     bound_positions, instantiate, match_term, trail_undo, Env, FactStore, IndexMode, IndexStats,
     FOLD_BOUND,
@@ -18,11 +18,13 @@ use crate::ground::{TermId, TermStore};
 #[cfg(test)]
 use crate::program::CompiledProgram;
 use crate::program::{ClauseView, Rule};
-use crate::rterm::{RAtom, RTerm, VarId};
+use crate::retract::derivable_once;
+use crate::rterm::{RAtom, RTerm, VarAlloc, VarId};
 use clogic_core::fol::{FoAtom, FoClause, FoTerm};
 use clogic_core::symbol::Symbol;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Evaluation strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -207,72 +209,122 @@ impl Evaluation {
         out
     }
 
-    /// Answers to a conjunctive query over the least model: each answer
-    /// maps the query's variable names to ground terms.
-    pub fn query(&self, goals: &[FoAtom]) -> Vec<BTreeMap<Symbol, FoTerm>> {
-        let mut alloc = crate::rterm::VarAlloc::new();
-        let mut map = HashMap::new();
-        let mut ratoms: Vec<RAtom> = goals
+    /// Answers to a conjunctive query over the model: each answer maps
+    /// the query's variable names to ground terms.
+    ///
+    /// The query is one more rule, `__query(V̄) :- goals, \+ neg_goals`,
+    /// ordered by the fixpoint's planner (`plan_order`) and joined once
+    /// by its join (`eval_body`), so a built-in goal works here as it
+    /// does in a rule body. The join interns into a query-local clone of
+    /// the term store, which copies the store's tail only once a term is
+    /// interned (a built-in's result, say), so readers of one model can
+    /// query it concurrently.
+    ///
+    /// A negated goal whose predicate heads a clause in `aux` is checked
+    /// per answer: it holds iff one application of those clauses derives
+    /// it from the model (DRed's `derivable_once`). This is exact for the
+    /// auxiliary clauses the C-logic translation generates for negated
+    /// conjunctions (`__nauxN(V̄) :- conj`): their predicates occur only
+    /// under negation, so they derive nothing the program's rules
+    /// consume, and the model need not be cloned and re-saturated with
+    /// them. A built-in that fails to evaluate is an error.
+    pub fn query(
+        &self,
+        goals: &[FoAtom],
+        neg_goals: &[FoAtom],
+        aux: &[FoClause],
+    ) -> Result<Vec<BTreeMap<Symbol, FoTerm>>, EvalError> {
+        let mut vars = VarAlloc::new();
+        let head = FoAtom::new(query_pred(), Vec::new());
+        let mut rule = Rule::from_fo(&head, goals, neg_goals, &mut vars);
+        // The goals' variables are numbered first, `0..k`. The head lists
+        // them, so an answer tuple holds variable `i` at position `i`.
+        let mut goal_vars = Vec::new();
+        for a in &rule.body {
+            a.args.iter().for_each(|t| t.collect_vars(&mut goal_vars));
+        }
+        let k = goal_vars.iter().max().map_or(0, |&v| v + 1);
+        rule.head.args = (0..k).map(RTerm::Var).collect();
+        let aux_rules: Vec<Rule> = aux
             .iter()
-            .map(|g| crate::rterm::ratom_of_fo(g, &mut map, &mut alloc))
+            .map(|c| Rule::from_fo(&c.head, &c.body, &c.negative_body, &mut VarAlloc::new()))
             .collect();
-        order_query_goals(&mut ratoms, &self.facts);
-        let mut env: Env = vec![None; alloc.len()];
-        let mut trail = Vec::new();
-        let mut out = Vec::new();
-        self.query_rec(&ratoms, 0, &mut env, &mut trail, &mut |env| {
-            let mut answer = BTreeMap::new();
-            for (&name, &v) in &map {
-                if let Some(id) = env.get(v as usize).copied().flatten() {
-                    answer.insert(name, self.store.to_fo(id));
+        let mut aux_negs = Vec::new();
+        if !aux_rules.is_empty() {
+            let heads_aux = |n: &RAtom| {
+                aux_rules
+                    .iter()
+                    .any(|r| r.head.pred == n.pred && r.head.args.len() == n.args.len())
+            };
+            let neg_body = std::mem::take(&mut rule.neg_body);
+            for (n, shown) in neg_body.into_iter().zip(neg_goals) {
+                if heads_aux(&n) {
+                    aux_negs.push((n, shown));
+                } else {
+                    rule.neg_body.push(n);
                 }
             }
-            out.push(answer);
-        });
-        out.sort();
-        out.dedup();
-        out
-    }
+        }
 
-    fn query_rec(
-        &self,
-        goals: &[RAtom],
-        i: usize,
-        env: &mut Env,
-        trail: &mut Vec<VarId>,
-        emit: &mut impl FnMut(&Env),
-    ) {
-        if i == goals.len() {
-            emit(env);
-            return;
-        }
-        let g = &goals[i];
-        let Some(rel) = self.facts.relation(g.pred, g.args.len()) else {
-            return;
-        };
-        let bound = bound_positions(&g.args, env, &self.store);
-        let rows = rel.candidate_rows(
-            &bound,
-            0..rel.row_end(),
-            &self.store,
-            self.facts.index_mode(),
-        );
-        for row in rows {
-            let mark = trail.len();
-            let ok = g
-                .args
-                .iter()
-                .zip(rel.tuple(row))
-                .all(|(p, &d)| match_term(p, d, &self.store, env, trail));
-            if ok {
-                self.query_rec(goals, i + 1, env, trail, emit);
+        let builtins = crate::builtins::builtin_table();
+        let mut store = self.store.clone();
+        let mut stats = FixpointStats::default();
+        let mut meter = BudgetMeter::new(&Budget::unlimited());
+        let mut env: Env = vec![None; rule.n_vars as usize];
+        let mut out = Vec::new();
+        eval_body(
+            &rule,
+            &plan_order(&rule, None, builtins, &self.facts),
+            0,
+            None,
+            &HashMap::new(),
+            &self.facts,
+            &mut store,
+            &mut stats,
+            builtins,
+            &mut env,
+            &mut Vec::new(),
+            &mut out,
+            &mut meter,
+        )?;
+        let mut answers = Vec::with_capacity(out.len());
+        'answers: for (_, tuple) in out {
+            for (n, shown) in &aux_negs {
+                let env: Env = tuple.iter().copied().map(Some).collect();
+                let goal = n
+                    .args
+                    .iter()
+                    .map(|a| instantiate(a, &env, &mut store))
+                    .collect::<Option<Vec<TermId>>>()
+                    .ok_or_else(|| EvalError::Floundered(shown.to_string()))?;
+                let fact = (n.pred, goal);
+                if derivable_once(
+                    builtins,
+                    &aux_rules,
+                    &fact,
+                    &self.facts,
+                    &mut store,
+                    &mut stats,
+                    &mut meter,
+                )? {
+                    continue 'answers;
+                }
             }
-            trail_undo(env, trail, mark);
+            let mut answer = BTreeMap::new();
+            for (v, &id) in tuple.iter().enumerate() {
+                let name = vars.name(v as VarId).expect("query variables are named");
+                answer.insert(name, store.to_fo(id));
+            }
+            answers.push(answer);
         }
+        answers.sort();
+        answers.dedup();
+        Ok(answers)
     }
 
     /// Tail rows, dead rows and tail terms: what a clone of this
-    /// evaluation copies (the bases are shared).
+    /// evaluation copies (the bases are shared, and the term tail is
+    /// copied only once the clone interns a term).
     pub fn tail_len(&self) -> usize {
         self.facts.tail_rows() + self.store.tail_len()
     }
@@ -290,9 +342,10 @@ impl Evaluation {
         due
     }
 
-    /// Convenience: whether a ground conjunctive query holds.
+    /// Convenience: whether a conjunctive query has an answer. A query
+    /// whose built-in fails to evaluate does not hold.
     pub fn holds(&self, goals: &[FoAtom]) -> bool {
-        !self.query(goals).is_empty()
+        self.query(goals, &[], &[]).is_ok_and(|a| !a.is_empty())
     }
 
     /// Total facts newly inserted over this evaluation (accumulated
@@ -311,230 +364,12 @@ impl Evaluation {
     pub fn delta_sizes(&self) -> &[u64] {
         &self.stats.delta_sizes
     }
-
-    /// Answers to a query with negated goals: positives matched against
-    /// the least model, then answers filtered by the absence of each
-    /// (substituted, necessarily ground) negated atom.
-    pub fn query_with_negation(
-        &self,
-        goals: &[FoAtom],
-        neg_goals: &[FoAtom],
-    ) -> Result<Vec<BTreeMap<Symbol, FoTerm>>, EvalError> {
-        let answers = self.query(goals);
-        let mut out = Vec::with_capacity(answers.len());
-        'answers: for a in answers {
-            for n in neg_goals {
-                let g = subst_fo_atom(n, &a);
-                if !g.is_ground() {
-                    return Err(EvalError::Floundered(n.to_string()));
-                }
-                let holds = if crate::builtins::is_builtin(g.pred) {
-                    holds_ground_builtin(&g)?
-                } else {
-                    self.holds(std::slice::from_ref(&g))
-                };
-                if holds {
-                    continue 'answers;
-                }
-            }
-            out.push(a);
-        }
-        Ok(out)
-    }
-
-    /// Like [`Evaluation::query_with_negation`], but negated goals whose
-    /// predicate heads a clause in `aux` are checked *lazily* against the
-    /// saturated base model instead of requiring the aux predicates to
-    /// have been materialized into it.
-    ///
-    /// This is exact for the auxiliary clauses the C-logic translation
-    /// generates for negated molecules (`__nauxN(V̄) :- conj`): the head
-    /// collects every variable of the negated goal, so once the goal is
-    /// ground the head binding determines the body up to existential
-    /// variables, and `__nauxN(ḡ)` holds in the saturated model of
-    /// base ∪ aux iff the bound body conjunction is satisfiable in the
-    /// base model alone (aux predicates occur only under negation, so
-    /// they derive nothing the base rules consume). Checking lazily
-    /// replaces cloning and re-saturating the whole model per query.
-    ///
-    /// Multiple clauses per aux predicate act as a disjunction. Built-in
-    /// conjuncts are checked once the relational conjuncts have bound
-    /// their arguments; a built-in left non-ground flounders.
-    pub fn query_with_negation_aux(
-        &self,
-        goals: &[FoAtom],
-        neg_goals: &[FoAtom],
-        aux: &[FoClause],
-    ) -> Result<Vec<BTreeMap<Symbol, FoTerm>>, EvalError> {
-        if aux.is_empty() {
-            return self.query_with_negation(goals, neg_goals);
-        }
-        let mut by_pred: HashMap<(Symbol, usize), Vec<&FoClause>> = HashMap::new();
-        for c in aux {
-            by_pred
-                .entry((c.head.pred, c.head.args.len()))
-                .or_default()
-                .push(c);
-        }
-        let answers = self.query(goals);
-        let mut out = Vec::with_capacity(answers.len());
-        'answers: for a in answers {
-            for n in neg_goals {
-                let g = subst_fo_atom(n, &a);
-                if !g.is_ground() {
-                    return Err(EvalError::Floundered(n.to_string()));
-                }
-                let holds = if let Some(clauses) = by_pred.get(&(g.pred, g.args.len())) {
-                    let mut any = false;
-                    for c in clauses {
-                        if self.aux_clause_holds(c, &g)? {
-                            any = true;
-                            break;
-                        }
-                    }
-                    any
-                } else if crate::builtins::is_builtin(g.pred) {
-                    holds_ground_builtin(&g)?
-                } else {
-                    self.holds(std::slice::from_ref(&g))
-                };
-                if holds {
-                    continue 'answers;
-                }
-            }
-            out.push(a);
-        }
-        Ok(out)
-    }
-
-    /// Whether `goal` (ground) is derivable from `clause` over the base
-    /// model: head-match the goal, then check the bound body conjunction
-    /// (existential variables range over base-model answers).
-    fn aux_clause_holds(&self, clause: &FoClause, goal: &FoAtom) -> Result<bool, EvalError> {
-        let mut bind: BTreeMap<Symbol, FoTerm> = BTreeMap::new();
-        if clause.head.args.len() != goal.args.len() {
-            return Ok(false);
-        }
-        for (p, g) in clause.head.args.iter().zip(&goal.args) {
-            if !match_fo_term(p, g, &mut bind) {
-                return Ok(false);
-            }
-        }
-        // Split the bound body: relational conjuncts are joined against
-        // the model; ground built-ins filter up front; built-ins still
-        // open wait for the relational answers to bind them.
-        let mut relational = Vec::new();
-        let mut open_builtins = Vec::new();
-        for b in &clause.body {
-            let s = subst_fo_atom(b, &bind);
-            if crate::builtins::is_builtin(s.pred) {
-                if s.is_ground() {
-                    if !holds_ground_builtin(&s)? {
-                        return Ok(false);
-                    }
-                } else {
-                    open_builtins.push(s);
-                }
-            } else {
-                relational.push(s);
-            }
-        }
-        let neg: Vec<FoAtom> = clause
-            .negative_body
-            .iter()
-            .map(|n| subst_fo_atom(n, &bind))
-            .collect();
-        let solutions = if relational.is_empty() {
-            vec![BTreeMap::new()]
-        } else {
-            self.query(&relational)
-        };
-        'solutions: for s in solutions {
-            for b in &open_builtins {
-                let g = subst_fo_atom(b, &s);
-                if !g.is_ground() {
-                    return Err(EvalError::Floundered(b.to_string()));
-                }
-                if !holds_ground_builtin(&g)? {
-                    continue 'solutions;
-                }
-            }
-            for n in &neg {
-                let g = subst_fo_atom(n, &s);
-                if !g.is_ground() {
-                    return Err(EvalError::Floundered(n.to_string()));
-                }
-                let holds = if crate::builtins::is_builtin(g.pred) {
-                    holds_ground_builtin(&g)?
-                } else {
-                    self.holds(std::slice::from_ref(&g))
-                };
-                if holds {
-                    continue 'solutions;
-                }
-            }
-            return Ok(true);
-        }
-        Ok(false)
-    }
 }
 
-/// Structural match of a clause-head pattern against a ground term,
-/// accumulating (and checking the consistency of) variable bindings.
-fn match_fo_term(pattern: &FoTerm, ground: &FoTerm, bind: &mut BTreeMap<Symbol, FoTerm>) -> bool {
-    match pattern {
-        FoTerm::Var(v) => match bind.get(v) {
-            Some(prev) => prev == ground,
-            None => {
-                bind.insert(*v, ground.clone());
-                true
-            }
-        },
-        FoTerm::Const(_) => pattern == ground,
-        FoTerm::App(f, args) => match ground {
-            FoTerm::App(gf, gargs) if gf == f && gargs.len() == args.len() => args
-                .iter()
-                .zip(gargs)
-                .all(|(p, g)| match_fo_term(p, g, bind)),
-            _ => false,
-        },
-    }
-}
-
-/// Evaluates a ground built-in atom.
-fn holds_ground_builtin(g: &FoAtom) -> Result<bool, EvalError> {
-    let mut alloc = crate::rterm::VarAlloc::new();
-    let mut map = HashMap::new();
-    let ra = crate::rterm::ratom_of_fo(g, &mut map, &mut alloc);
-    let mut bind = crate::unify::Bindings::new();
-    Ok(crate::builtins::solve(&ra, &mut bind)?)
-}
-
-/// Greedy selectivity-based join order for conjunctive query goals:
-/// repeatedly pick the goal with the fewest still-unbound variables
-/// (ties broken towards index availability, then the smaller relation),
-/// then treat its variables as bound. A goal with constant arguments
-/// thus runs before an open scan of a large relation, turning the scan
-/// into an indexed lookup — the difference between O(model) and
-/// O(answers) on point-ish queries against a saturated store. Answers
-/// are unaffected: the caller sorts and deduplicates them.
-fn order_query_goals(goals: &mut [RAtom], facts: &FactStore) {
-    let mut bound: HashSet<VarId> = HashSet::new();
-    for i in 0..goals.len() {
-        let best = goals[i..]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, g)| {
-                let unbound = atom_vars(g).iter().filter(|v| !bound.contains(v)).count();
-                let indexable = g.args.iter().any(|a| arg_indexable(a, &bound));
-                let size = facts.relation(g.pred, g.args.len()).map_or(0, |r| r.len());
-                (unbound, usize::from(!indexable), size)
-            })
-            .map(|(j, _)| i + j)
-            .expect("non-empty tail");
-        goals.swap(i, best);
-        bound.extend(atom_vars(&goals[i]));
-    }
+/// The head predicate of a query rule, interned once.
+fn query_pred() -> Symbol {
+    static QUERY: OnceLock<Symbol> = OnceLock::new();
+    *QUERY.get_or_init(|| Symbol::new("__query"))
 }
 
 /// The distinct variables of an atom, in first-occurrence order.
@@ -547,35 +382,25 @@ fn atom_vars(atom: &RAtom) -> Vec<VarId> {
 }
 
 /// Whether every variable of `t` is bound.
-fn term_bound(t: &RTerm, bound: &HashSet<VarId>) -> bool {
-    let mut vs = Vec::new();
-    t.collect_vars(&mut vs);
-    vs.iter().all(|v| bound.contains(v))
+fn term_bound(t: &RTerm, bound: &[bool]) -> bool {
+    match t {
+        RTerm::Var(v) => bound[*v as usize],
+        RTerm::Const(_) => true,
+        RTerm::App(_, args) => args.iter().all(|a| term_bound(a, bound)),
+    }
 }
 
 /// Whether argument `t` can key an index probe once `bound` is bound.
 /// Mirrors the index families `candidate_rows` probes: a fully bound
 /// position (exact) or a compound with bound first argument (sub).
-fn arg_indexable(t: &RTerm, bound: &HashSet<VarId>) -> bool {
+fn arg_indexable(t: &RTerm, bound: &[bool]) -> bool {
     match t {
         RTerm::Const(_) => true,
-        RTerm::Var(v) => bound.contains(v),
+        RTerm::Var(v) => bound[*v as usize],
         RTerm::App(_, args) => {
             term_bound(t, bound) || args.first().is_some_and(|a| term_bound(a, bound))
         }
     }
-}
-
-/// Applies an answer substitution to a first-order atom.
-pub fn subst_fo_atom(a: &FoAtom, bind: &BTreeMap<Symbol, FoTerm>) -> FoAtom {
-    fn go(t: &FoTerm, bind: &BTreeMap<Symbol, FoTerm>) -> FoTerm {
-        match t {
-            FoTerm::Var(v) => bind.get(v).cloned().unwrap_or_else(|| t.clone()),
-            FoTerm::Const(_) => t.clone(),
-            FoTerm::App(f, args) => FoTerm::App(*f, args.iter().map(|x| go(x, bind)).collect()),
-        }
-    }
-    FoAtom::new(a.pred, a.args.iter().map(|t| go(t, bind)).collect())
 }
 
 /// Per-relation row boundaries for one semi-naive round.
@@ -1194,9 +1019,10 @@ pub(crate) fn eval_rule<P: ClauseView>(
 ) -> Result<(), EvalError> {
     let mut env: Env = vec![None; rule.n_vars as usize];
     let mut trail: Vec<VarId> = Vec::new();
-    let order = plan_order(rule, delta_pos, program, facts);
+    let builtins = program.builtins();
+    let order = plan_order(rule, delta_pos, builtins, facts);
     eval_body(
-        rule, &order, 0, delta_pos, frontiers, facts, store, stats, program, &mut env, &mut trail,
+        rule, &order, 0, delta_pos, frontiers, facts, store, stats, builtins, &mut env, &mut trail,
         out, meter,
     )
 }
@@ -1212,40 +1038,39 @@ pub(crate) fn eval_rule<P: ClauseView>(
 /// like `node(X), object(Z), linkto(X, Z), …` into `node(X),
 /// linkto(X, Z), object(Z), …`: filters before generators, and among
 /// equally-bound generators the cheaper scan goes first.
-pub(crate) fn plan_order<P: ClauseView>(
+pub(crate) fn plan_order(
     rule: &Rule,
     delta_pos: Option<usize>,
-    program: &P,
+    builtins: &[Symbol],
     facts: &FactStore,
 ) -> Vec<usize> {
     let n = rule.body.len();
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut bound: HashSet<VarId> = HashSet::new();
+    // `bound[v]`: variable `v` is bound by the atoms ordered so far.
+    let mut bound = vec![false; rule.n_vars as usize];
     let atom_vars = |j: usize| atom_vars(&rule.body[j]);
-    let builtin_ready = |j: usize, bound: &HashSet<VarId>| {
-        let atom = &rule.body[j];
-        match (atom.pred.as_str(), atom.args.len()) {
-            ("is", 2) => term_bound(&atom.args[1], bound),
-            ("=" | "==", 2) => term_bound(&atom.args[0], bound) || term_bound(&atom.args[1], bound),
-            _ => atom.args.iter().all(|a| term_bound(a, bound)),
+    let bind = |j: usize, bound: &mut Vec<bool>| {
+        for v in atom_vars(j) {
+            bound[v as usize] = true;
         }
     };
+    let is_builtin = |j: usize| builtins.contains(&rule.body[j].pred);
 
     if let Some(d) = delta_pos {
         remaining.retain(|&j| j != d);
         order.push(d);
-        bound.extend(atom_vars(d));
+        bind(d, &mut bound);
     }
     while !remaining.is_empty() {
         // A ready built-in filters earliest.
-        if let Some(pos) = remaining
-            .iter()
-            .position(|&j| program.is_builtin(rule.body[j].pred) && builtin_ready(j, &bound))
-        {
+        if let Some(pos) = remaining.iter().position(|&j| {
+            let atom = &rule.body[j];
+            is_builtin(j) && ready(atom.pred, &atom.args, |t| term_bound(t, &bound))
+        }) {
             let j = remaining.remove(pos);
             order.push(j);
-            bound.extend(atom_vars(j));
+            bind(j, &mut bound);
             continue;
         }
         // Best relational atom by (index availability, unbound vars, pos);
@@ -1253,11 +1078,11 @@ pub(crate) fn plan_order<P: ClauseView>(
         let best = remaining
             .iter()
             .enumerate()
-            .filter(|(_, &j)| !program.is_builtin(rule.body[j].pred))
+            .filter(|(_, &j)| !is_builtin(j))
             .min_by_key(|(_, &j)| {
                 let atom = &rule.body[j];
                 let indexable = atom.args.iter().any(|a| arg_indexable(a, &bound));
-                let unbound = atom_vars(j).iter().filter(|v| !bound.contains(v)).count();
+                let unbound = atom_vars(j).iter().filter(|&&v| !bound[v as usize]).count();
                 let size = facts
                     .relation(atom.pred, atom.args.len())
                     .map_or(0, |r| r.len());
@@ -1267,13 +1092,13 @@ pub(crate) fn plan_order<P: ClauseView>(
         let pos = best.unwrap_or(0); // only unready built-ins left: source order
         let j = remaining.remove(pos);
         order.push(j);
-        bound.extend(atom_vars(j));
+        bind(j, &mut bound);
     }
     order
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_body<P: ClauseView>(
+pub(crate) fn eval_body(
     rule: &Rule,
     order: &[usize],
     i: usize,
@@ -1282,7 +1107,7 @@ pub(crate) fn eval_body<P: ClauseView>(
     facts: &FactStore,
     store: &mut TermStore,
     stats: &mut FixpointStats,
-    program: &P,
+    builtins: &[Symbol],
     env: &mut Env,
     trail: &mut Vec<VarId>,
     out: &mut Vec<(Symbol, Vec<TermId>)>,
@@ -1295,7 +1120,7 @@ pub(crate) fn eval_body<P: ClauseView>(
         // stratification guarantees the negated relations are complete
         // by the time this stratum runs.
         for n in &rule.neg_body {
-            if program.is_builtin(n.pred) {
+            if builtins.contains(&n.pred) {
                 let mark = trail.len();
                 let holds = solve_pattern(n, env, trail, store)?;
                 trail_undo(env, trail, mark);
@@ -1327,7 +1152,7 @@ pub(crate) fn eval_body<P: ClauseView>(
     }
     let atom_idx = order[i];
     let atom = &rule.body[atom_idx];
-    if program.is_builtin(atom.pred) {
+    if builtins.contains(&atom.pred) {
         let mark = trail.len();
         let ok = solve_pattern(atom, env, trail, store)?;
         if ok {
@@ -1340,7 +1165,7 @@ pub(crate) fn eval_body<P: ClauseView>(
                 facts,
                 store,
                 stats,
-                program,
+                builtins,
                 env,
                 trail,
                 out,
@@ -1392,7 +1217,7 @@ pub(crate) fn eval_body<P: ClauseView>(
                 facts,
                 store,
                 stats,
-                program,
+                builtins,
                 env,
                 trail,
                 out,
@@ -1654,10 +1479,16 @@ mod tests {
         let p = chain_program(4);
         let ev = eval_with(&p, Strategy::SemiNaive);
         // pairs X,Z connected through an explicit middle node Y=n2
-        let answers = ev.query(&[
-            atom("path", vec![v("X"), c("n2")]),
-            atom("path", vec![c("n2"), v("Z")]),
-        ]);
+        let answers = ev
+            .query(
+                &[
+                    atom("path", vec![v("X"), c("n2")]),
+                    atom("path", vec![c("n2"), v("Z")]),
+                ],
+                &[],
+                &[],
+            )
+            .unwrap();
         // X ∈ {n0,n1}, Z ∈ {n3,n4}
         assert_eq!(answers.len(), 4);
         for a in &answers {
@@ -1670,7 +1501,10 @@ mod tests {
     fn query_on_empty_relation() {
         let p = chain_program(2);
         let ev = eval_with(&p, Strategy::SemiNaive);
-        assert!(ev.query(&[atom("nothing", vec![v("X")])]).is_empty());
+        assert!(ev
+            .query(&[atom("nothing", vec![v("X")])], &[], &[])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -1831,6 +1665,61 @@ mod tests {
         assert_eq!(resumed.facts.epoch(), 7);
     }
 
+    /// The plan of `durable_update`'s read, `path: P[src => c0n0,
+    /// dest => D]`: the constant's goals first, so that every later goal
+    /// probes an index. The model is the translated shape of one saturated
+    /// chain, so relation sizes are those a served read sees.
+    #[test]
+    fn single_source_path_query_plan_is_pinned() {
+        use clogic_core::formula::{Atomic, Query};
+        use clogic_core::term::{LabelSpec, Term};
+        use clogic_core::transform::Transformer;
+        let q = Query::new(vec![Atomic::term(
+            Term::molecule(
+                Term::typed_var("path", "P"),
+                vec![
+                    LabelSpec::one("src", Term::constant("c0n0")),
+                    LabelSpec::one("dest", Term::var("D")),
+                ],
+            )
+            .unwrap(),
+        )]);
+        let goals = Transformer::new().query(&q);
+        let mut p = FoProgram::new();
+        let nodes: Vec<FoTerm> = (0..5).map(|i| c(&format!("c0n{i}"))).collect();
+        for (i, x) in nodes.iter().enumerate() {
+            p.push(FoClause::fact(atom("node", vec![x.clone()])));
+            p.push(FoClause::fact(atom("object", vec![x.clone()])));
+            for y in &nodes[i + 1..] {
+                let id = FoTerm::App(sym("id"), vec![x.clone(), y.clone()]);
+                p.push(FoClause::fact(atom("path", vec![id.clone()])));
+                p.push(FoClause::fact(atom("object", vec![id.clone()])));
+                p.push(FoClause::fact(atom("src", vec![id.clone(), x.clone()])));
+                p.push(FoClause::fact(atom("dest", vec![id, y.clone()])));
+            }
+            if let Some(y) = nodes.get(i + 1) {
+                p.push(FoClause::fact(atom("linkto", vec![x.clone(), y.clone()])));
+            }
+        }
+        let ev = eval_with(&p, Strategy::SemiNaive);
+        let head = atom("__query", vec![v("D"), v("P")]);
+        let rule = Rule::from_fo(&head, &goals, &[], &mut VarAlloc::new());
+        let order = plan_order(&rule, None, crate::builtins::builtin_table(), &ev.facts);
+        let planned: Vec<String> = order.iter().map(|&j| goals[j].to_string()).collect();
+        assert_eq!(
+            planned,
+            [
+                "object(c0n0)",
+                "src(P, c0n0)",
+                "path(P)",
+                "dest(P, D)",
+                "object(D)"
+            ]
+        );
+        let answers = ev.query(&goals, &[], &[]).unwrap();
+        assert_eq!(answers.len(), 4);
+    }
+
     #[test]
     fn ground_atoms_sorted_and_complete() {
         let p = chain_program(2);
@@ -1908,7 +1797,9 @@ mod negation_tests {
             vec![atom("reached", vec![v("X")])],
         ));
         let ev = eval(&p).unwrap();
-        let q = ev.query(&[atom("unreachable", vec![v("X")])]);
+        let q = ev
+            .query(&[atom("unreachable", vec![v("X")])], &[], &[])
+            .unwrap();
         let xs: Vec<String> = q.iter().map(|a| a[&sym("X")].to_string()).collect();
         assert_eq!(xs, vec!["d"]);
     }
@@ -1999,7 +1890,9 @@ mod negation_tests {
             vec![atom("reached", vec![v("X")])],
         ));
         let ev = eval(&p).unwrap();
-        let bu = ev.query(&[atom("unreachable", vec![v("X")])]);
+        let bu = ev
+            .query(&[atom("unreachable", vec![v("X")])], &[], &[])
+            .unwrap();
         let cp = CompiledProgram::compile(&p, builtin_symbols());
         let sld = SldEngine::new(&cp, SldOptions::default())
             .solve(&[atom("unreachable", vec![v("X")])])

@@ -51,7 +51,7 @@ impl fmt::Display for BuiltinError {
 impl std::error::Error for BuiltinError {}
 
 /// The built-in predicates this module evaluates, interned once.
-fn builtin_table() -> &'static [Symbol; 11] {
+pub(crate) fn builtin_table() -> &'static [Symbol; 11] {
     static TABLE: OnceLock<[Symbol; 11]> = OnceLock::new();
     TABLE.get_or_init(|| {
         [
@@ -69,6 +69,18 @@ pub fn builtin_symbols() -> impl Iterator<Item = Symbol> {
 /// Whether `pred` is one of the built-ins evaluated here (by symbol id).
 pub fn is_builtin(pred: Symbol) -> bool {
     builtin_table().contains(&pred)
+}
+
+/// Whether a built-in goal can run once the arguments that `bound`
+/// accepts are bound: `is/2` once its right side is, `=` once either
+/// side is, any other once all its arguments are. `==` waits for both
+/// sides, because [`solve`] reads it as an identity check.
+pub(crate) fn ready<T>(pred: Symbol, args: &[T], bound: impl Fn(&T) -> bool) -> bool {
+    match (pred.as_str(), args) {
+        ("is", [_, rhs]) => bound(rhs),
+        ("=", [lhs, rhs]) => bound(lhs) || bound(rhs),
+        _ => args.iter().all(bound),
+    }
 }
 
 fn arith_binop(f: Symbol, a: i64, b: i64) -> Result<i64, BuiltinError> {

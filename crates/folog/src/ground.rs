@@ -10,12 +10,13 @@
 //! The arena is flat: one node per term, compound arguments in one shared
 //! id array, and a hash-to-chain table for hash-consing, so a term costs no
 //! heap allocation of its own and is stored once. It is split like a
-//! [`Relation`](crate::facts::Relation): a frozen **base** segment behind
-//! an [`Arc`] and a small owned **tail** that receives new terms. Cloning
-//! a store (the snapshot copy-on-write path) copies the tail and shares
-//! the base; [`TermStore::fold`] moves the tail into the base once it
-//! passes [`FOLD_BOUND`](crate::facts::FOLD_BOUND). Ids never change: a
-//! fold appends the tail's terms to the base in id order.
+//! [`Relation`](crate::facts::Relation): a frozen **base** segment and a
+//! small **tail** that receives new terms, each behind an [`Arc`]. Cloning
+//! a store (the snapshot copy-on-write path, and a bottom-up query's
+//! scratch store) shares both; the first intern into a shared tail copies
+//! it. [`TermStore::fold`] moves the tail into the base once it passes
+//! [`FOLD_BOUND`](crate::facts::FOLD_BOUND). Ids never change: a fold
+//! appends the tail's terms to the base in id order.
 
 use crate::chain::{fx_hash, Chains};
 use clogic_core::fol::FoTerm;
@@ -103,7 +104,7 @@ impl TermSegment {
 #[derive(Clone, Debug, Default)]
 pub struct TermStore {
     base: Arc<TermSegment>,
-    tail: TermSegment,
+    tail: Arc<TermSegment>,
 }
 
 impl TermStore {
@@ -122,7 +123,8 @@ impl TermStore {
         self.len() == 0
     }
 
-    /// Terms in the owned tail: what a clone of this store copies.
+    /// Terms in the tail: what a clone of this store copies once it
+    /// interns a term.
     pub fn tail_len(&self) -> usize {
         self.tail.len() as usize
     }
@@ -133,7 +135,7 @@ impl TermStore {
         if let Some(id) = self.find(t, hash) {
             return id;
         }
-        TermId(self.base.len() + self.tail.push(t, hash))
+        TermId(self.base.len() + Arc::make_mut(&mut self.tail).push(t, hash))
     }
 
     /// Interns a constant.
@@ -194,7 +196,7 @@ impl TermStore {
         }
         let tail = std::mem::take(&mut self.tail);
         if self.base.nodes.is_empty() {
-            self.base = Arc::new(tail);
+            self.base = tail;
             return;
         }
         let base = Arc::make_mut(&mut self.base);

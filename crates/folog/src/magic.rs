@@ -312,7 +312,7 @@ mod tests {
             solve_magic(&p, &goals, &builtins(), FixpointOptions::default()).unwrap();
         let compiled = CompiledProgram::compile(&p, builtin_symbols());
         let full = evaluate(&compiled, FixpointOptions::default()).unwrap();
-        let plain_answers = full.query(&goals);
+        let plain_answers = full.query(&goals, &[], &[]).unwrap();
         assert_eq!(magic_answers, plain_answers);
         assert_eq!(magic_answers.len(), 5);
     }

@@ -10,7 +10,7 @@
 
 use crate::facts::IndexMode;
 use crate::rterm::{ratom_of_fo, RAtom, RTerm, VarAlloc, VarId};
-use clogic_core::fol::{FoClause, FoProgram};
+use clogic_core::fol::{FoAtom, FoClause, FoProgram};
 use clogic_core::symbol::Symbol;
 use clogic_core::term::Const;
 use std::collections::HashMap;
@@ -30,6 +30,28 @@ pub struct Rule {
 }
 
 impl Rule {
+    /// Compiles the clause `head :- body, \+ neg_body`, numbering its
+    /// variables `0..n_vars` in order of first occurrence, head first, in
+    /// `alloc`, which keeps their names.
+    pub fn from_fo(
+        head: &FoAtom,
+        body: &[FoAtom],
+        neg_body: &[FoAtom],
+        alloc: &mut VarAlloc,
+    ) -> Rule {
+        let mut map = HashMap::new();
+        let mut compile = |a: &FoAtom| ratom_of_fo(a, &mut map, alloc);
+        let head = compile(head);
+        let body = body.iter().map(&mut compile).collect();
+        let neg_body = neg_body.iter().map(&mut compile).collect();
+        Rule {
+            head,
+            body,
+            neg_body,
+            n_vars: alloc.len() as u32,
+        }
+    }
+
     /// True iff the body (positive and negative) is empty.
     pub fn is_fact(&self) -> bool {
         self.body.is_empty() && self.neg_body.is_empty()
@@ -86,8 +108,8 @@ pub fn arg_key(t: &RTerm) -> Option<ArgKey> {
 pub struct CompiledProgram {
     /// All rules, in source order.
     pub rules: Vec<Rule>,
-    /// Predicate symbols treated as evaluable built-ins.
-    pub builtins: std::collections::BTreeSet<Symbol>,
+    /// Predicate symbols treated as evaluable built-ins, each once.
+    pub builtins: Vec<Symbol>,
     by_pred: HashMap<(Symbol, usize), Vec<usize>>,
     /// For each head argument position holding a non-variable:
     /// (pred, arity, position, key) → clause indices.
@@ -109,6 +131,8 @@ impl CompiledProgram {
             builtins: builtins.into_iter().collect(),
             ..CompiledProgram::default()
         };
+        out.builtins.sort_unstable();
+        out.builtins.dedup();
         for c in &p.clauses {
             out.push_clause(c);
         }
@@ -117,25 +141,7 @@ impl CompiledProgram {
 
     /// Compiles and adds one clause.
     pub fn push_clause(&mut self, c: &FoClause) {
-        let mut alloc = VarAlloc::new();
-        let mut map = HashMap::new();
-        let head = ratom_of_fo(&c.head, &mut map, &mut alloc);
-        let body: Vec<RAtom> = c
-            .body
-            .iter()
-            .map(|b| ratom_of_fo(b, &mut map, &mut alloc))
-            .collect();
-        let neg_body: Vec<RAtom> = c
-            .negative_body
-            .iter()
-            .map(|n| ratom_of_fo(n, &mut map, &mut alloc))
-            .collect();
-        let rule = Rule {
-            head,
-            body,
-            neg_body,
-            n_vars: alloc.len() as u32,
-        };
+        let rule = Rule::from_fo(&c.head, &c.body, &c.negative_body, &mut VarAlloc::new());
         self.push_rule(rule);
     }
 
@@ -202,10 +208,10 @@ impl CompiledProgram {
         self.index_mode = mode;
     }
 
-    /// Whether `pred` is an evaluable built-in. Compares symbol ids: the
-    /// set's own lookup orders by the interned strings.
+    /// Whether `pred` is an evaluable built-in (an id check over the
+    /// built-in slice).
     pub fn is_builtin(&self, pred: Symbol) -> bool {
-        self.builtins.iter().any(|&b| b == pred)
+        self.builtins.contains(&pred)
     }
 
     /// Candidate clauses for a goal, using first-argument indexing when
@@ -310,8 +316,12 @@ pub trait ClauseView {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+    /// The evaluable built-in predicates.
+    fn builtins(&self) -> &[Symbol];
     /// Whether `pred` is an evaluable built-in.
-    fn is_builtin(&self, pred: Symbol) -> bool;
+    fn is_builtin(&self, pred: Symbol) -> bool {
+        self.builtins().contains(&pred)
+    }
     /// Candidate clauses for a goal (see [`CompiledProgram::candidates`]).
     fn candidates(&self, pred: Symbol, arity: usize, first_arg: Option<&RTerm>) -> Vec<usize>;
     /// Candidate clauses for a goal with bound argument positions (see
@@ -336,8 +346,8 @@ impl ClauseView for CompiledProgram {
     fn len(&self) -> usize {
         CompiledProgram::len(self)
     }
-    fn is_builtin(&self, pred: Symbol) -> bool {
-        CompiledProgram::is_builtin(self, pred)
+    fn builtins(&self) -> &[Symbol] {
+        &self.builtins
     }
     fn candidates(&self, pred: Symbol, arity: usize, first_arg: Option<&RTerm>) -> Vec<usize> {
         CompiledProgram::candidates(self, pred, arity, first_arg)
@@ -414,8 +424,9 @@ impl<P: ClauseView> ClauseView for ClauseOverlay<'_, P> {
     fn len(&self) -> usize {
         self.base_len + self.tail.len()
     }
-    fn is_builtin(&self, pred: Symbol) -> bool {
-        self.base.is_builtin(pred) || self.tail.is_builtin(pred)
+    fn builtins(&self) -> &[Symbol] {
+        // The tail registers no built-ins of its own.
+        self.base.builtins()
     }
     fn candidates(&self, pred: Symbol, arity: usize, first_arg: Option<&RTerm>) -> Vec<usize> {
         let mut out = self.base.candidates(pred, arity, first_arg);

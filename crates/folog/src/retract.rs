@@ -36,10 +36,10 @@
 
 use crate::bottom_up::{
     eval_body, evaluate, finish, flush_metrics, plan_order, run_stratum, EvalError, Evaluation,
-    FixpointOptions,
+    FixpointOptions, FixpointStats,
 };
 use crate::budget::BudgetMeter;
-use crate::facts::{match_term, trail_undo, Env};
+use crate::facts::{match_term, trail_undo, Env, FactStore};
 use crate::ground::{GroundTerm, TermId, TermStore};
 use crate::program::{ArgKey, ClauseView, Rule};
 use clogic_core::fol::FoAtom;
@@ -159,7 +159,7 @@ pub fn retract_facts<P: ClauseView>(
                 if pinned.peek().is_none() {
                     continue;
                 }
-                let order = plan_order(rule, Some(pos), program, &ev.facts);
+                let order = plan_order(rule, Some(pos), program.builtins(), &ev.facts);
                 for (_, tuple) in pinned {
                     ev.stats.rule_activations += 1;
                     let mut env: Env = vec![None; rule.n_vars as usize];
@@ -181,7 +181,7 @@ pub fn retract_facts<P: ClauseView>(
                             &ev.facts,
                             &mut ev.store,
                             &mut ev.stats,
-                            program,
+                            program.builtins(),
                             &mut env,
                             &mut trail,
                             &mut produced,
@@ -226,7 +226,15 @@ pub fn retract_facts<P: ClauseView>(
             break;
         }
         if is_fact_clause(program, fact, &ev.store)
-            || derivable_once(program, &rules, fact, &mut ev, &mut meter)?
+            || derivable_once(
+                program.builtins(),
+                rules.iter().map(|&(_, r)| r),
+                fact,
+                &ev.facts,
+                &mut ev.store,
+                &mut ev.stats,
+                &mut meter,
+            )?
         {
             reborn.push(fact.clone());
         }
@@ -322,25 +330,30 @@ fn is_fact_clause<P: ClauseView>(program: &P, fact: &Fact, store: &TermStore) ->
         })
 }
 
-/// Whether one rule application over the current (post-deletion) store
-/// reproduces `fact`: some rule head unifies with the tuple and its
-/// body is satisfiable under those bindings. Because the tuple is
-/// ground, every solution instantiates the head to exactly `fact`, so
-/// satisfiability is the membership test.
-fn derivable_once<P: ClauseView>(
-    program: &P,
-    rules: &[(usize, &Rule)],
+/// Whether one application of `rules` over `facts` reproduces `fact`:
+/// some rule head matches the tuple and its body is satisfiable under
+/// those bindings. Because the tuple is ground, every solution
+/// instantiates the head to exactly `fact`, so satisfiability is the
+/// membership test. DRed asks it of each overdeleted fact over the
+/// post-deletion store; a bottom-up query asks it of each negated
+/// auxiliary goal (see [`Evaluation::query`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn derivable_once<'r>(
+    builtins: &[Symbol],
+    rules: impl IntoIterator<Item = &'r Rule>,
     fact: &Fact,
-    ev: &mut Evaluation,
+    facts: &FactStore,
+    store: &mut TermStore,
+    stats: &mut FixpointStats,
     meter: &mut BudgetMeter,
 ) -> Result<bool, EvalError> {
     let (pred, tuple) = fact;
     let empty_frontiers = HashMap::new();
-    for &(_, rule) in rules {
+    for rule in rules {
         if rule.head.pred != *pred || rule.head.args.len() != tuple.len() {
             continue;
         }
-        ev.stats.rule_activations += 1;
+        stats.rule_activations += 1;
         let mut env: Env = vec![None; rule.n_vars as usize];
         let mut trail = Vec::new();
         let matched = rule
@@ -348,9 +361,9 @@ fn derivable_once<P: ClauseView>(
             .args
             .iter()
             .zip(tuple)
-            .all(|(p, &d)| match_term(p, d, &ev.store, &mut env, &mut trail));
+            .all(|(p, &d)| match_term(p, d, store, &mut env, &mut trail));
         if matched {
-            let order = plan_order(rule, None, program, &ev.facts);
+            let order = plan_order(rule, None, builtins, facts);
             let mut out: Vec<Fact> = Vec::new();
             eval_body(
                 rule,
@@ -358,10 +371,10 @@ fn derivable_once<P: ClauseView>(
                 0,
                 None,
                 &empty_frontiers,
-                &ev.facts,
-                &mut ev.store,
-                &mut ev.stats,
-                program,
+                facts,
+                store,
+                stats,
+                builtins,
                 &mut env,
                 &mut trail,
                 &mut out,

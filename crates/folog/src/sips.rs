@@ -10,6 +10,7 @@
 //! reaches a rule. [`bound_first`] moves the goals that arrive most bound
 //! to the front instead.
 
+use crate::builtins::ready;
 use clogic_core::fol::{FoAtom, FoTerm};
 use clogic_core::symbol::Symbol;
 use std::cmp::Reverse;
@@ -22,10 +23,9 @@ use std::collections::HashSet;
 /// fewest unbound variables, then the most fully bound arguments (the
 /// positions an adornment marks `b`), then the first in source order,
 /// and counts its variables as bound from then on. A relational goal is
-/// always ready. A built-in waits until it can run: `is/2` once its right
-/// side is bound, `=` once either side is, any other once all its
-/// arguments are. Built-ins that never become ready follow in source
-/// order.
+/// always ready. A built-in waits until it can run (see
+/// [`crate::builtins`]'s readiness rule, which the bottom-up planner
+/// shares). Built-ins that never become ready follow in source order.
 pub fn bound_first<'g>(
     goals: &'g [FoAtom],
     bound: &HashSet<Symbol>,
@@ -38,7 +38,9 @@ pub fn bound_first<'g>(
         let best = remaining
             .iter()
             .enumerate()
-            .filter(|(_, g)| !is_builtin(g.pred) || builtin_ready(g, &bound))
+            .filter(|(_, g)| {
+                !is_builtin(g.pred) || ready(g.pred, &g.args, |a| term_bound(a, &bound))
+            })
             .min_by_key(|(_, g)| {
                 let mut unbound = Vec::new();
                 for a in &g.args {
@@ -61,15 +63,6 @@ pub fn bound_first<'g>(
         order.push(g);
     }
     order
-}
-
-/// Whether a built-in goal can run once `bound` is bound.
-fn builtin_ready(g: &FoAtom, bound: &HashSet<Symbol>) -> bool {
-    match (g.pred.as_str(), g.args.as_slice()) {
-        ("is", [_, rhs]) => term_bound(rhs, bound),
-        ("=", [lhs, rhs]) => term_bound(lhs, bound) || term_bound(rhs, bound),
-        _ => g.args.iter().all(|a| term_bound(a, bound)),
-    }
 }
 
 /// Whether every variable of `t` is in `bound`.

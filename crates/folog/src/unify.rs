@@ -7,6 +7,7 @@
 //! by rolling back to a checkpoint instead of cloning the store.
 
 use crate::rterm::{RTerm, VarId};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A trailed, growable binding store.
@@ -115,24 +116,34 @@ pub fn unify(a: &RTerm, b: &RTerm, bind: &mut Bindings) -> bool {
 }
 
 fn unify_inner(a: &RTerm, b: &RTerm, bind: &mut Bindings) -> bool {
-    let wa = bind.walk(a).clone();
-    let wb = bind.walk(b).clone();
-    match (wa, wb) {
+    let wa = walked(a, bind);
+    let wb = walked(b, bind);
+    match (&*wa, &*wb) {
         (RTerm::Var(x), RTerm::Var(y)) if x == y => true,
-        (RTerm::Var(x), t) | (t, RTerm::Var(x)) => {
-            if bind.occurs(x, &t) {
+        (&RTerm::Var(x), t) | (t, &RTerm::Var(x)) => {
+            if bind.occurs(x, t) {
                 return false;
             }
-            bind.bind(x, t);
+            bind.bind(x, t.clone());
             true
         }
         (RTerm::Const(c1), RTerm::Const(c2)) => c1 == c2,
         (RTerm::App(f, fa), RTerm::App(g, ga)) => {
             f == g
                 && fa.len() == ga.len()
-                && fa.iter().zip(&ga).all(|(x, y)| unify_inner(x, y, bind))
+                && fa.iter().zip(ga).all(|(x, y)| unify_inner(x, y, bind))
         }
         _ => false,
+    }
+}
+
+/// `t` walked under `bind`. The recursion in [`unify_inner`] extends
+/// `bind`, so a term reached through a binding is cloned out of it; `t`
+/// itself is borrowed as it is.
+fn walked<'t>(t: &'t RTerm, bind: &Bindings) -> Cow<'t, RTerm> {
+    match t {
+        RTerm::Var(v) if bind.lookup(*v).is_some() => Cow::Owned(bind.walk(t).clone()),
+        _ => Cow::Borrowed(t),
     }
 }
 

@@ -746,8 +746,8 @@ struct ModelArtifact {
 /// pointer but never touches (or frees) a pinned snapshot. Queries
 /// through a snapshot never block on the session and never clone an
 /// artifact — per-query clause additions ride a [`ClauseOverlay`] and
-/// conjunction-shaped negation is checked lazily against the saturated
-/// model.
+/// conjunction-shaped negation is checked per answer against the
+/// saturated model.
 ///
 /// Every artifact is fixed at publish except the naive least model:
 /// the first [`Strategy::BottomUpNaive`] query against the snapshot
@@ -936,7 +936,7 @@ impl SessionSnapshot {
     /// Never blocks on the session, never mutates or clones an artifact:
     /// per-query auxiliary clauses (conjunction-shaped negated goals)
     /// extend the compiled program through a [`ClauseOverlay`] view, and
-    /// against a *complete* saturated model they are checked lazily
+    /// against a *complete* saturated model they are checked per answer
     /// instead of resuming the fixpoint. `extra` is merged (tighter
     /// ceiling wins) into the effective budget — the seam for
     /// per-request deadlines and cancellation. It does not bound the
@@ -1010,10 +1010,10 @@ impl SessionSnapshot {
                 let m = self.model(fs).as_ref().map_err(|e| e.clone())?;
                 if aux.is_empty() || m.complete {
                     // Against a complete model the query-local `__naux…`
-                    // clauses are checked lazily per candidate answer —
-                    // exact for the translation's aux clauses, and no
-                    // model clone or fixpoint resumption.
-                    let rows = m.query_with_negation_aux(&goals, &neg_goals, &aux)?;
+                    // clauses are checked per answer — exact for the
+                    // translation's aux clauses, and no model clone or
+                    // fixpoint resumption.
+                    let rows = m.query(&goals, &neg_goals, &aux)?;
                     Ok(Evaluated {
                         answers: answers(rows, m.complete, m.degradation.clone()),
                         per_rule: Cow::Borrowed(&m.stats.per_rule),
@@ -1026,7 +1026,7 @@ impl SessionSnapshot {
                     let opts = self.options.fixpoint_for(fs, self.may_diverge, extra, obs);
                     let view = self.overlay(&aux);
                     let ev = folog::evaluate(&view, opts)?;
-                    let rows = ev.query_with_negation(&goals, &neg_goals)?;
+                    let rows = ev.query(&goals, &neg_goals, &[])?;
                     Ok(Evaluated {
                         answers: answers(rows, ev.complete, ev.degradation),
                         per_rule: Cow::Owned(ev.stats.per_rule),

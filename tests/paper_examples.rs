@@ -385,11 +385,18 @@ fn path_rules_agree_with_the_oracle() {
 fn path_lengths_on_a_chain() {
     let mut s = Session::new();
     s.load(&format!("{CHAIN}{PATH_RULES_WITH_LENGTH}")).unwrap();
-    let cases: [(&str, &[&str]); 4] = [
+    let cases: [(&str, &[&str]); 5] = [
         (
             "path: P[src => a, dest => D, length => L]",
             &[
                 "D = b, L = 1, P = id(a, b, 1)",
+                "D = c, L = 2, P = id(a, c, 2)",
+                "D = d, L = 3, P = id(a, d, 3)",
+            ],
+        ),
+        (
+            "path: P[src => a, dest => D, length => L], L > 1",
+            &[
                 "D = c, L = 2, P = id(a, c, 2)",
                 "D = d, L = 3, P = id(a, d, 3)",
             ],

@@ -138,3 +138,41 @@ fn translated_is_cached_until_invalidated() {
     s.load("b: y.").unwrap();
     assert!(s.translated().len() > before);
 }
+
+const AGES: &str = "person: ann[age => 40].\nperson: bob[age => 20].";
+
+/// Built-in goals in a query: a comparison filters the answers and `is`
+/// binds a new variable, under every strategy. The answers are written
+/// out because the §3.2 oracle has no built-ins.
+#[test]
+fn built_in_goals_answer_under_every_strategy() {
+    let cases: [(&str, &[&str]); 2] = [
+        ("person: X[age => A], A > 30", &["A = 40, X = ann"]),
+        (
+            "person: X[age => A], B is A + 1",
+            &["A = 20, B = 21, X = bob", "A = 40, B = 41, X = ann"],
+        ),
+    ];
+    let mut s = Session::new();
+    s.load(AGES).unwrap();
+    for (query, want) in cases {
+        for strategy in Strategy::ALL {
+            let a = common::evaluate(&mut s, query, strategy).unwrap();
+            assert!(a.complete, "{query} under {strategy:?}");
+            assert_eq!(a.rendered(), want, "{query} under {strategy:?}");
+        }
+    }
+}
+
+/// The answer cache is shared across strategies, so a bottom-up answer
+/// to a query with a built-in goal is what Direct then reads.
+#[test]
+fn built_in_query_answers_are_cached_across_strategies() {
+    let query = "person: X[age => A], A > 30";
+    let mut s = Session::new();
+    s.load(AGES).unwrap();
+    let bottom_up = s.query(query, Strategy::BottomUpSemiNaive).unwrap();
+    assert_eq!(bottom_up.rendered(), ["A = 40, X = ann"]);
+    let direct = s.query(query, Strategy::Direct).unwrap();
+    assert_eq!(direct.rendered(), ["A = 40, X = ann"]);
+}

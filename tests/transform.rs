@@ -116,11 +116,12 @@ fn multiple_head_occurrences_are_independent() {
     // derived: pair(s1), a(s1,s1), pair(s2), a(s2,s2) — plus seeds/objects
     let q = parse_query("pair: X[a => X]").unwrap();
     let goals = Transformer::new().query(&q);
-    assert_eq!(ev.query(&goals).len(), 2);
+    assert_eq!(ev.query(&goals, &[], &[]).unwrap().len(), 2);
     // crucially NOT a(s1, s2): the head occurrences were linked in the
     // molecule, so the tuples stay consistent per derivation
     let cross = parse_query("pair: s1[a => s2]").unwrap();
-    assert!(ev.query(&Transformer::new().query(&cross)).is_empty());
+    let cross = Transformer::new().query(&cross);
+    assert!(ev.query(&cross, &[], &[]).unwrap().is_empty());
 }
 
 #[test]
@@ -159,7 +160,7 @@ fn object_is_the_active_domain() {
     let p = parse_program("person: john[likes => mary].\nitem: np(a, b).").unwrap();
     let ev = least_model(&p);
     let q = parse_query("object: X").unwrap();
-    let answers = ev.query(&Transformer::new().query(&q));
+    let answers = ev.query(&Transformer::new().query(&q), &[], &[]).unwrap();
     let xs: Vec<String> = answers
         .iter()
         .map(|a| a.values().next().unwrap().to_string())
